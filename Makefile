@@ -3,7 +3,7 @@
 # output stays parseable JSONL.
 
 .PHONY: all build test check lint bench bench-quick soak soak-telemetry \
-  soak-scenario clean
+  soak-scenario perfbench-smoke clean
 
 all: build
 
@@ -33,6 +33,18 @@ lint: build
 	dune exec bin/lmc_cli.exe -- lint --all --out lint.jsonl \
 	  --allow lint_allow.jsonl
 	dune exec bin/jsonl_check.exe -- lint.jsonl
+
+# Benchmark correctness smoke: one short run of every perfbench
+# workload, each of whose JSON result lines must say "correct": true —
+# every hunt found and witnessed its bug, every sweep verdict and count
+# matched.  A gate on verdicts only: timings are never compared here.
+perfbench-smoke: build
+	python3 perfbench/run.py --workload all --seed 1 --seconds 5 --trace 0 \
+	  > perfbench-smoke.out
+	@n=$$(grep -c '^{' perfbench-smoke.out); \
+	ok=$$(grep '^{' perfbench-smoke.out | grep -c '"correct": true'); \
+	echo "perfbench-smoke: $$ok of $$n workloads correct"; \
+	test "$$n" -ge 1 && test "$$ok" -eq "$$n"
 
 # Robustness soak: supervised online hunts under three fault plans ×
 # two protocols, bounded in simulated time.  Exit 0 (clean run) and

@@ -37,6 +37,8 @@ let required_fields = function
       Some
         [
           ("transitions", is_int);
+          ("soundness_prefilter_rejections", is_int);
+          ("soundness_search_rejections", is_int);
           ("symmetry", is_string);
           ("orbit_hits", is_int);
           ("completed", is_bool);

@@ -1732,11 +1732,17 @@ module Report = struct
     and checks_valid = ref 0
     and checks_invalid = ref 0
     and checks_budget = ref 0
-    and witnesses = ref 0 in
+    and witnesses = ref 0
+    and by_prefilter = ref 0
+    and by_search = ref 0 in
+    let add r f name = r := !r + Option.value ~default:0 (jint (jfield name f)) in
     List.iter
       (fun f ->
         match ev_of f with
         | "prelim" -> incr prelim
+        | "lmc_end" ->
+            add by_prefilter f "soundness_prefilter_rejections";
+            add by_search f "soundness_search_rejections"
         | "witness" -> incr witnesses
         | "reject" -> (
             match jstr (jfield "why" f) with
@@ -1753,6 +1759,11 @@ module Report = struct
       "%d preliminary violation(s): %d confirmed sound, %d rejected as \
        unsound, %d beyond the interleaving budget@."
       !prelim !witnesses !rejects_invalid !rejects_budget;
+    if !by_prefilter + !by_search > 0 then
+      Format.printf
+        "rejections: %d by the prefilter (a required message nobody \
+         produces), %d by the interleaving search@."
+        !by_prefilter !by_search;
     if !checks_valid + !checks_invalid + !checks_budget > 0 then
       Format.printf
         "interleaving searches: %d valid, %d invalid, %d budget-capped@."

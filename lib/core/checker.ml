@@ -114,6 +114,8 @@ module Make (P : Dsm.Protocol.S) = struct
     soundness_calls : int;
     sequences_checked : int;
     soundness_rejections : int;
+    soundness_prefilter_rejections : int;
+    soundness_search_rejections : int;
     soundness_budget_exhausted : int;
     local_assert_drops : int;
     store_hits : int;
@@ -161,6 +163,9 @@ module Make (P : Dsm.Protocol.S) = struct
     mutable fp_hex : string option;
         (* hex rendering of [fp], cached — every outgoing transition
            of this entry puts it in a step record's [fp_before] *)
+    mutable summary : (int * Soundness.summary) option;
+        (* soundness-prefilter summary of this entry's predecessor
+           DAG, stamped with its node's [generation] when computed *)
   }
 
   type net_entry = {
@@ -219,6 +224,10 @@ module Make (P : Dsm.Protocol.S) = struct
     c_soundness_calls : Obs.Metrics.counter;
     c_sequences : Obs.Metrics.counter;
     c_rejections : Obs.Metrics.counter;
+    c_prefilter_rejections : Obs.Metrics.counter;
+    c_search_rejections : Obs.Metrics.counter;
+    c_summary_hits : Obs.Metrics.counter;
+    c_summary_misses : Obs.Metrics.counter;
     c_budget_exhausted : Obs.Metrics.counter;
     c_local_drops : Obs.Metrics.counter;
     c_store_hits : Obs.Metrics.counter;
@@ -245,6 +254,11 @@ module Make (P : Dsm.Protocol.S) = struct
       c_soundness_calls = Obs.counter scope "lmc.soundness_calls";
       c_sequences = Obs.counter scope "lmc.sequences_checked";
       c_rejections = Obs.counter scope "lmc.soundness_rejections";
+      c_prefilter_rejections =
+        Obs.counter scope "lmc.soundness_prefilter_rejections";
+      c_search_rejections = Obs.counter scope "lmc.soundness_search_rejections";
+      c_summary_hits = Obs.counter scope "lmc.soundness_summary_hits";
+      c_summary_misses = Obs.counter scope "lmc.soundness_summary_misses";
       c_budget_exhausted = Obs.counter scope "lmc.soundness_budget_exhausted";
       c_local_drops = Obs.counter scope "lmc.local_assert_drops";
       c_store_hits = Obs.counter scope "lmc.store_hits";
@@ -283,6 +297,11 @@ module Make (P : Dsm.Protocol.S) = struct
     strategy : 'k strategy;
     invariant : P.state Dsm.Invariant.t;
     stores : 'k entry Vec.t array;
+    generation : int array;
+        (* per node, bumped whenever a predecessor pointer is appended
+           to one of its existing entries — the only event that can
+           change an existing entry's predecessor DAG, so a summary
+           stamped with the current generation is current *)
     by_fp : (Fingerprint.t, int) Hashtbl.t array;
     action_cursor : int array;  (* states already expanded for actions *)
     crash_cursor : int array;  (* states already expanded for crashes *)
@@ -311,6 +330,8 @@ module Make (P : Dsm.Protocol.S) = struct
     mutable soundness_calls : int;
     mutable sequences_checked : int;
     mutable soundness_rejections : int;
+    mutable prefilter_rejections : int;
+    mutable search_rejections : int;
     mutable local_assert_drops : int;
     mutable soundness_budget_exhausted : int;
     mutable sound_violation : violation option;
@@ -662,10 +683,10 @@ module Make (P : Dsm.Protocol.S) = struct
 
   (* The predecessor DAG of one component node state, restricted to the
      backward closure of the target.  Self-references are ignored
-     (§4.2); cycles are tolerated, the memoised search handles them. *)
-  let build_graph t (entry : 'k entry)
-      (by_label : (Dsm.Node_id.t * Fingerprint.t, event_info) Hashtbl.t) :
-      Soundness.node_graph =
+     (§4.2); cycles are tolerated, the memoised search handles them.
+     [by_label], when given, learns every event, for mapping a witness
+     order back to protocol steps. *)
+  let build_graph ?by_label t (entry : 'k entry) : Soundness.node_graph =
     (* Even a snapshot-state target can carry self-edges (events that
        produced messages without changing the state), so the closure is
        built uniformly. *)
@@ -689,7 +710,10 @@ module Make (P : Dsm.Protocol.S) = struct
                     (* self-edges (j = i) carry productions of events
                        that left the state unchanged; the DAG search
                        may traverse them *)
-                    Hashtbl.replace by_label (entry.node, p.event.label) p.event;
+                    Option.iter
+                      (fun tbl ->
+                        Hashtbl.replace tbl (entry.node, p.event.label) p.event)
+                      by_label;
                     edges :=
                       ( j,
                         {
@@ -709,6 +733,34 @@ module Make (P : Dsm.Protocol.S) = struct
       { Soundness.root = 0; target = entry.idx; edges = !edges }
     end
 
+  (* The entry's prefilter summary, from its cache when no predecessor
+     was appended to its node since it was computed.  Only summaries
+     are cached: the graph itself is rebuilt for the few tuples that
+     pass the prefilter.  Sequential apply path only. *)
+  let summary_of t (entry : 'k entry) =
+    let gen = t.generation.(entry.node) in
+    match entry.summary with
+    | Some (g, s) when g = gen ->
+        Obs.Metrics.incr t.o.c_summary_hits;
+        s
+    | _ ->
+        Obs.Metrics.incr t.o.c_summary_misses;
+        let s = Soundness.summarize (build_graph t entry) in
+        entry.summary <- Some (gen, s);
+        s
+
+  let count_rejection t ~prefiltered =
+    t.soundness_rejections <- t.soundness_rejections + 1;
+    Obs.Metrics.incr t.o.c_rejections;
+    if prefiltered then begin
+      t.prefilter_rejections <- t.prefilter_rejections + 1;
+      Obs.Metrics.incr t.o.c_prefilter_rejections
+    end
+    else begin
+      t.search_rejections <- t.search_rejections + 1;
+      Obs.Metrics.incr t.o.c_search_rejections
+    end
+
   (* Confirm a preliminary violation (isStateSound): either search the
      product of the per-node predecessor DAGs directly (default), or
      enumerate explicit event-sequence combinations as in the paper. *)
@@ -723,6 +775,7 @@ module Make (P : Dsm.Protocol.S) = struct
     in
     let found = ref None in
     let exhausted = ref false in
+    let prefiltered = ref false in
     if t.config.soundness_via_sequences then begin
       let paths =
         Array.map (fun e -> Array.of_list (enumerate_paths t e)) tuple
@@ -760,21 +813,27 @@ module Make (P : Dsm.Protocol.S) = struct
                  else `Continue))
     end
     else begin
-      let graphs = Array.map (fun e -> build_graph t e by_label) tuple in
       t.sequences_checked <- t.sequences_checked + 1;
       Obs.Metrics.incr t.o.c_sequences;
-      (match
-         Soundness.check_dag ?obs:t.o.soundness_obs
-           ?trace:t.soundness_trace ~budget:t.config.soundness_budget
-           ~initial_net:[] graphs
-       with
-      | Soundness.Valid order -> found := Some order
-      | Soundness.Invalid -> ()
-      | Soundness.Budget_exhausted ->
-          exhausted := true;
-          t.soundness_budget_exhausted <- t.soundness_budget_exhausted + 1;
-          Obs.Metrics.incr t.o.c_budget_exhausted);
-      ()
+      let summaries = Array.map (summary_of t) tuple in
+      if
+        not
+          (Soundness.prefilter ?obs:t.o.soundness_obs
+             ?trace:t.soundness_trace ~initial_net:[] summaries)
+      then prefiltered := true
+      else
+        let graphs = Array.map (build_graph ~by_label t) tuple in
+        match
+          Soundness.check_dag ?obs:t.o.soundness_obs
+            ?trace:t.soundness_trace ~budget:t.config.soundness_budget
+            ~summaries ~initial_net:[] graphs
+        with
+        | Soundness.Valid order -> found := Some order
+        | Soundness.Invalid -> ()
+        | Soundness.Budget_exhausted ->
+            exhausted := true;
+            t.soundness_budget_exhausted <- t.soundness_budget_exhausted + 1;
+            Obs.Metrics.incr t.o.c_budget_exhausted
     end;
     let spent = now () -. t0 in
     t.soundness_time <- t.soundness_time +. spent;
@@ -786,8 +845,7 @@ module Make (P : Dsm.Protocol.S) = struct
           record_reject t violation sdepth
             ~why:(if !exhausted then "budget_exhausted" else "invalid");
         if cache_rejection then begin
-          t.soundness_rejections <- t.soundness_rejections + 1;
-          Obs.Metrics.incr t.o.c_rejections;
+          count_rejection t ~prefiltered:!prefiltered;
           if
             t.config.reverify_rejected
             && Vec.length t.rejected < t.config.max_rejected_cache
@@ -1242,8 +1300,10 @@ module Make (P : Dsm.Protocol.S) = struct
            crash count — keep their first values (§4.2
            simplification). *)
         let e = Vec.get store i in
-        if List.length e.preds < t.config.max_preds_per_entry then
+        if List.length e.preds < t.config.max_preds_per_entry then begin
           e.preds <- pred :: e.preds;
+          t.generation.(node) <- t.generation.(node) + 1
+        end;
         false
     | None ->
         let idx = Vec.length store in
@@ -1261,6 +1321,7 @@ module Make (P : Dsm.Protocol.S) = struct
             key = abstract_key t state;
             preds = [ pred ];
             fp_hex = None;
+            summary = None;
           }
         in
         ignore (Vec.push store entry);
@@ -1366,8 +1427,10 @@ module Make (P : Dsm.Protocol.S) = struct
             if
               produces <> []
               && List.length entry.preds < t.config.max_preds_per_entry
-            then
+            then begin
               entry.preds <- { prev = Some entry.idx; event } :: entry.preds;
+              t.generation.(node) <- t.generation.(node) + 1
+            end;
             false
           end
           else
@@ -1635,45 +1698,56 @@ module Make (P : Dsm.Protocol.S) = struct
   (* Parallel a-posteriori verification: the paper's third contribution
      notes that with exploration, system-state creation and soundness
      verification decoupled, "the model checking process can be
-     embarrassingly parallelized".  The predecessor DAGs are extracted
-     on the main domain (they read the mutable stores, which are
-     quiescent by now); the pure [Soundness.check_dag] calls fan out
-     across worker domains; results are folded back in deterministic
-     cache order. *)
+     embarrassingly parallelized".  The prefilter runs on the main
+     domain against the summary cache, and the predecessor DAGs of the
+     tuples that pass it are extracted there too (both read the
+     mutable stores, which are quiescent by now); only those searches
+     fan out across worker domains; results are folded back in
+     deterministic cache order. *)
   let verify_parallel t (pending : 'k rejected array) =
     let t0 = now () in
-    let jobs =
-      Array.map
-        (fun r ->
-          let by_label :
-              (Dsm.Node_id.t * Fingerprint.t, event_info) Hashtbl.t =
-            Hashtbl.create 64
-          in
-          let graphs =
-            Array.map (fun e -> build_graph t e by_label) r.r_tuple
-          in
-          (r, graphs, by_label))
-        pending
-    in
-    let n = Array.length jobs in
-    let verdicts = Array.make n Soundness.Invalid in
-    let domains = max 1 t.config.verify_domains in
-    let next = Atomic.make 0 in
-    let budget = t.config.soundness_budget in
     (* Worker domains record into the scope concurrently: the
        histogram/counter cells are atomic, per-domain effort merges
        without locks (the "per-domain buffers or atomic counters"
        requirement of always-on instrumentation). *)
     let soundness_obs = t.o.soundness_obs in
+    let jobs =
+      Array.map
+        (fun r ->
+          let j0 = now () in
+          let summaries = Array.map (summary_of t) r.r_tuple in
+          if Soundness.prefilter ?obs:soundness_obs ~initial_net:[] summaries
+          then begin
+            let by_label = Hashtbl.create 64 in
+            let graphs = Array.map (build_graph ~by_label t) r.r_tuple in
+            Some (graphs, summaries, by_label)
+          end
+          else begin
+            Obs.Metrics.observe t.o.h_soundness_us
+              (int_of_float (1e6 *. (now () -. j0)));
+            None
+          end)
+        pending
+    in
+    let n = Array.length jobs in
+    let verdicts = Array.make n Soundness.Invalid in
+    let searched =
+      Array.of_list
+        (List.filter (fun i -> Option.is_some jobs.(i)) (List.init n Fun.id))
+    in
+    let domains = max 1 t.config.verify_domains in
+    let next = Atomic.make 0 in
+    let budget = t.config.soundness_budget in
     let worker () =
       let rec loop () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          let _, graphs, _ = jobs.(i) in
+        let k = Atomic.fetch_and_add next 1 in
+        if k < Array.length searched then begin
+          let i = searched.(k) in
+          let graphs, summaries, _ = Option.get jobs.(i) in
           let j0 = now () in
           verdicts.(i) <-
-            Soundness.check_dag ?obs:soundness_obs ~budget ~initial_net:[]
-              graphs;
+            Soundness.check_dag ?obs:soundness_obs ~budget ~summaries
+              ~initial_net:[] graphs;
           Obs.Metrics.observe t.o.h_soundness_us
             (int_of_float (1e6 *. (now () -. j0)));
           loop ()
@@ -1710,19 +1784,17 @@ module Make (P : Dsm.Protocol.S) = struct
     in
     Array.iteri
       (fun i verdict ->
-        let r, _, by_label = jobs.(i) in
+        let r = pending.(i) in
         match verdict with
         | Soundness.Invalid ->
-            t.soundness_rejections <- t.soundness_rejections + 1;
-            Obs.Metrics.incr t.o.c_rejections;
+            count_rejection t ~prefiltered:(Option.is_none jobs.(i));
             if t.tracing then begin
               record_par_verdict "invalid" None;
               record_reject t r.r_violation r.r_depth ~why:"invalid"
             end
         | Soundness.Budget_exhausted ->
-            t.soundness_rejections <- t.soundness_rejections + 1;
+            count_rejection t ~prefiltered:false;
             t.soundness_budget_exhausted <- t.soundness_budget_exhausted + 1;
-            Obs.Metrics.incr t.o.c_rejections;
             Obs.Metrics.incr t.o.c_budget_exhausted;
             if t.tracing then begin
               record_par_verdict "budget_exhausted" None;
@@ -1732,6 +1804,7 @@ module Make (P : Dsm.Protocol.S) = struct
             if t.tracing then
               record_par_verdict "valid" (Some (List.length order));
             if t.sound_violation = None then begin
+              let _, _, by_label = Option.get jobs.(i) in
               let schedule =
                 List.map
                   (fun (sev : Soundness.event) ->
@@ -1889,6 +1962,7 @@ module Make (P : Dsm.Protocol.S) = struct
         strategy;
         invariant;
         stores = Array.init P.num_nodes (fun _ -> Vec.create ());
+        generation = Array.make P.num_nodes 0;
         by_fp = Array.init P.num_nodes (fun _ -> Hashtbl.create 256);
         action_cursor = Array.make P.num_nodes 0;
         crash_cursor = Array.make P.num_nodes 0;
@@ -1909,6 +1983,8 @@ module Make (P : Dsm.Protocol.S) = struct
         soundness_calls = 0;
         sequences_checked = 0;
         soundness_rejections = 0;
+        prefilter_rejections = 0;
+        search_rejections = 0;
         local_assert_drops = 0;
         soundness_budget_exhausted = 0;
         sound_violation = None;
@@ -1937,6 +2013,7 @@ module Make (P : Dsm.Protocol.S) = struct
             key = abstract_key t state;
             preds = [];
             fp_hex = None;
+            summary = None;
           }
         in
         ignore (Vec.push t.stores.(n) entry);
@@ -1995,6 +2072,9 @@ module Make (P : Dsm.Protocol.S) = struct
           ("system_states", Dsm.Json.Int t.system_states_created);
           ("preliminary_violations", Dsm.Json.Int t.preliminary_violations);
           ("soundness_calls", Dsm.Json.Int t.soundness_calls);
+          ( "soundness_prefilter_rejections",
+            Dsm.Json.Int t.prefilter_rejections );
+          ("soundness_search_rejections", Dsm.Json.Int t.search_rejections);
           ("sound_violation", Dsm.Json.Bool (t.sound_violation <> None));
           ("store_hits", Dsm.Json.Int t.store_hits);
           ("symmetry", Dsm.Json.String (Dsm.Symmetry.name config.symmetry));
@@ -2043,6 +2123,10 @@ module Make (P : Dsm.Protocol.S) = struct
              ("system_states", Dsm.Json.Int t.system_states_created);
              ( "preliminary_violations",
                Dsm.Json.Int t.preliminary_violations );
+             ( "soundness_prefilter_rejections",
+               Dsm.Json.Int t.prefilter_rejections );
+             ( "soundness_search_rejections",
+               Dsm.Json.Int t.search_rejections );
              ("sound_violation", Dsm.Json.Bool (t.sound_violation <> None));
              ( "symmetry",
                Dsm.Json.String (Dsm.Symmetry.name config.symmetry) );
@@ -2062,6 +2146,8 @@ module Make (P : Dsm.Protocol.S) = struct
       soundness_calls = t.soundness_calls;
       sequences_checked = t.sequences_checked;
       soundness_rejections = t.soundness_rejections;
+      soundness_prefilter_rejections = t.prefilter_rejections;
+      soundness_search_rejections = t.search_rejections;
       soundness_budget_exhausted = t.soundness_budget_exhausted;
       local_assert_drops = t.local_assert_drops;
       store_hits = t.store_hits;

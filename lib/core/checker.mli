@@ -225,6 +225,14 @@ module Make (P : Dsm.Protocol.S) : sig
     soundness_rejections : int;
         (** preliminary violations not confirmed (proven unreachable,
             or undecided within the soundness budget) *)
+    soundness_prefilter_rejections : int;
+        (** the part of [soundness_rejections] the DAG prefilter
+            decided, before any search: some component must consume a
+            message no component produces *)
+    soundness_search_rejections : int;
+        (** the rest of [soundness_rejections]: the interleaving search
+            ran and found no valid order, or ran out of budget (every
+            sequence-mode rejection counts here) *)
     soundness_budget_exhausted : int;
         (** soundness checks that ran out of search budget — counted
             within [soundness_rejections]; a nonzero value means some

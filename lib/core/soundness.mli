@@ -79,13 +79,53 @@ type node_graph = {
   edges : (int * event * int) list;
 }
 
+(** {3 The prefilter}
+
+    Before any search, every message consumed on {e every}
+    root->target path of a component must be producible by some edge
+    of some component or by the initial net.  The test splits into a
+    per-component {!summary} and a cheap combine, so a caller that
+    sees the same component in many tuples (the checker's per-entry
+    cache) summarises it once. *)
+
+type summary = {
+  required : Dsm.Fingerprint.Set.t option;
+      (** messages consumed on every cycle-free root->target path;
+          [None] when the target is unreachable from the root *)
+  produced : Dsm.Fingerprint.Set.t;
+      (** messages generated by any edge of the component *)
+}
+
+val summarize : node_graph -> summary
+
+(** [prefilter ~initial_net summaries] is the prefilter's combine:
+    for every component [i], [required_i] is a subset of
+    [initial_net ∪ ⋃_j produced_j].  On rejection it also records the
+    call as a 0-step [Invalid] DAG verdict into [obs] / [trace],
+    exactly as {!check_dag} records its own prefilter rejections. *)
+val prefilter :
+  ?obs:Obs.scope ->
+  ?trace:Obs.Trace.t ->
+  initial_net:Dsm.Fingerprint.t list ->
+  summary array ->
+  bool
+
 (** [check_dag ~budget ~initial_net graphs] decides whether every node
     can walk from its root to its target such that the interleaved
-    events form a valid run. *)
+    events form a valid run.  The prefilter runs first; only if it
+    passes are the graphs turned into a search.  [summaries], one per
+    graph (as {!summarize} would compute them), skip re-summarising;
+    the verdict is the same either way.
+
+    The search interns every fingerprint into a dense id: the net is
+    an array of counts, and its memo sets hold exact (component
+    positions, net counts) configurations, found through a hash the
+    search updates incrementally with each move. *)
 val check_dag :
   ?obs:Obs.scope ->
   ?trace:Obs.Trace.t ->
   ?budget:int ->
+  ?summaries:summary array ->
   initial_net:Dsm.Fingerprint.t list ->
   node_graph array ->
   verdict

@@ -333,30 +333,67 @@ let test_correct_protocols_clean () =
             (Format.asprintf "%s: unexpected finding: %a" name R.pp_finding f))
     clean_instances
 
+module Synthetic_seed (Seed : sig
+  val seed : int
+end) =
+Protocols.Synthetic.Make (struct
+  let seed = Seed.seed
+  let num_nodes = 3
+  let max_state = 4
+  let kinds = 3
+end)
+
 (* Synthetic protocols are pure by construction (every behavioural
    decision hashes the seed and the inputs), so a determinism,
    canonicality, purity, or exception finding on any seed is a
    sanitizer false positive.  The coverage lint is excluded: a
    hash-derived behaviour may legitimately make every delivery of some
    message family a no-op (e.g. seed 34379), which in a hand-written
-   protocol would be dead code but here is just the dice.  *)
+   protocol would be dead code but here is just the dice.
+
+   The sanitizer's 20,000-transition default guards hand-written
+   protocols, whose spaces need not be finite.  [Protocols.Synthetic]
+   documents bounds that make every instance's space finite: node
+   states strictly increase up to [max_state] and each handler sends at
+   most two messages, so every run ends after at most
+   [num_nodes * max_state * 2] deliveries and one start action.  A
+   finite space is exhausted by any budget that never trips, so the
+   clean-seed property lifts the budget instead of guessing a size:
+   [completed] then means what it says — the whole space was seen —
+   and a seed that merely has a large space (the worst of the sampled
+   range takes 1.7M transitions) is no longer reported unclean. *)
+let synthetic_lint_clean seed =
+  let module P = Synthetic_seed (struct
+    let seed = seed
+  end) in
+  let module S = Lint.Sanitize.Make (P) in
+  let r =
+    S.run
+      ~config:
+        {
+          S.default_config with
+          min_deliveries = max_int;
+          max_transitions = max_int;
+        }
+      ()
+  in
+  (r.S.completed && r.S.findings = [], r.S.stats.S.transitions)
+
 let synthetic_clean =
   QCheck.Test.make ~count:120 ~name:"synthetic seeds lint clean"
     QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let module P = Protocols.Synthetic.Make (struct
-        let seed = seed
-        let num_nodes = 3
-        let max_state = 4
-        let kinds = 3
-      end) in
-      let module S = Lint.Sanitize.Make (P) in
-      let r =
-        S.run
-          ~config:{ S.default_config with min_deliveries = max_int }
-          ()
-      in
-      r.S.completed && r.S.findings = [])
+    (fun seed -> fst (synthetic_lint_clean seed))
+
+(* Seeds the property used to report unclean under the default budget:
+   both are clean, and only larger than 20,000 transitions. *)
+let test_synthetic_large_seeds_clean () =
+  List.iter
+    (fun (seed, transitions) ->
+      let clean, seen = synthetic_lint_clean seed in
+      let tag = Printf.sprintf "seed %d" seed in
+      check Alcotest.bool (tag ^ " clean and complete") true clean;
+      check Alcotest.int (tag ^ " transitions") transitions seen)
+    [ (36536, 28_912); (18157, 25_743) ]
 
 (* And under the default config, the only findings a synthetic seed
    may ever produce are coverage verdicts. *)
@@ -364,11 +401,8 @@ let synthetic_contract_only =
   QCheck.Test.make ~count:60 ~name:"synthetic findings are coverage-only"
     QCheck.(int_range 0 100_000)
     (fun seed ->
-      let module P = Protocols.Synthetic.Make (struct
+      let module P = Synthetic_seed (struct
         let seed = seed
-        let num_nodes = 3
-        let max_state = 4
-        let kinds = 3
       end) in
       let module S = Lint.Sanitize.Make (P) in
       let r = S.run () in
@@ -792,6 +826,8 @@ let () =
       ( "sanitize-clean",
         Alcotest.test_case "bundled correct protocols" `Quick
           test_correct_protocols_clean
+        :: Alcotest.test_case "large synthetic seeds clean" `Quick
+             test_synthetic_large_seeds_clean
         :: List.map QCheck_alcotest.to_alcotest
              [ synthetic_clean; synthetic_contract_only ] );
       ( "report",

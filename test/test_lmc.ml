@@ -229,6 +229,9 @@ let test_parallel_verification_agrees () =
     (serial.sound_violation <> None && parallel.sound_violation <> None);
   check Alcotest.int "same rejections" serial.soundness_rejections
     parallel.soundness_rejections;
+  check Alcotest.int "same prefilter rejections"
+    serial.soundness_prefilter_rejections
+    parallel.soundness_prefilter_rejections;
   check Alcotest.int "same calls" serial.soundness_calls
     parallel.soundness_calls
 
@@ -462,6 +465,238 @@ let prop_chain_agreement =
       in
       g.violation <> None && l.sound_violation <> None)
 
+(* ---------- soundness summary cache ---------- *)
+
+(* Node 0 reaches X two ways: directly (action A, sending nothing) and
+   through Y (action B sends M to node 1, then action C).  Node 1
+   moves T0 -> T1 on M.  The invariant flags (X, T1), which is
+   reachable only via the B-C path.  LMC explores A and B in round 1,
+   delivers M in round 2 — creating (X, T1) while X's only predecessor
+   is A, so the prefilter rejects it — and only then finds C, which
+   appends the second predecessor to the existing entry X.  The final
+   reverification pass must see X's new predecessor DAG: a summary
+   cached at creation time and served stale would reject again. *)
+module Late_path = struct
+  type state = S0 | X | Y | T0 | T1
+  type message = M
+  type action = A | B | C
+
+  let name = "late-path"
+  let num_nodes = 2
+  let initial = function 0 -> S0 | _ -> T0
+
+  let handle_message ~self:_ s (_ : message Dsm.Envelope.t) =
+    match s with T0 -> (T1, []) | s -> (s, [])
+
+  let enabled_actions ~self:_ = function S0 -> [ A; B ] | Y -> [ C ] | _ -> []
+
+  let handle_action ~self s a =
+    match (s, a) with
+    | S0, A -> (X, [])
+    | S0, B -> (Y, [ Dsm.Envelope.make ~src:self ~dst:1 M ])
+    | Y, C -> (X, [])
+    | s, _ -> (s, [])
+
+  let on_recover = Dsm.Protocol.default_on_recover
+
+  let pp_state ppf s =
+    Format.pp_print_string ppf
+      (match s with S0 -> "S0" | X -> "X" | Y -> "Y" | T0 -> "T0" | T1 -> "T1")
+
+  let pp_message ppf M = Format.pp_print_string ppf "M"
+
+  let pp_action ppf a =
+    Format.pp_print_string ppf (match a with A -> "A" | B -> "B" | C -> "C")
+
+  let x_meets_t1 =
+    Dsm.Invariant.make ~name:"x-meets-t1" (fun sys ->
+        if sys.(0) = X && sys.(1) = T1 then Some "X with T1" else None)
+end
+
+module L_late = Lmc.Checker.Make (Late_path)
+module W_late = Lmc.Witness.Make (Late_path)
+
+let test_summary_cache_invalidated () =
+  let init = Dsm.Protocol.initial_system (module Late_path) in
+  let run ?obs reverify_rejected =
+    L_late.run
+      {
+        L_late.default_config with
+        reverify_rejected;
+        obs = Option.value ~default:Obs.null obs;
+      }
+      ~strategy:L_late.General ~invariant:Late_path.x_meets_t1 init
+  in
+  let without = run false in
+  check Alcotest.bool "rejected at creation time" true
+    (without.sound_violation = None);
+  check Alcotest.int "by the prefilter" 1
+    without.soundness_prefilter_rejections;
+  let obs = Obs.create () in
+  let r = run ~obs true in
+  check Alcotest.int "one candidate" 1 r.preliminary_violations;
+  check Alcotest.int "checked at creation and again at reverification" 2
+    r.soundness_calls;
+  (match r.sound_violation with
+  | None -> fail "reverification did not confirm the late path"
+  | Some v -> (
+      check Alcotest.int "witness B, deliver M, C" 3 (List.length v.schedule);
+      match W_late.replay ~init v.schedule with
+      | None -> fail "witness does not replay"
+      | Some final ->
+          check Alcotest.bool "replay reaches (X, T1)" true
+            (Dsm.Invariant.check Late_path.x_meets_t1 final <> None)));
+  (* X and T1 summarised at creation, X again after its new
+     predecessor *)
+  check Alcotest.int "summary misses" 3
+    (Obs.Metrics.value (Obs.counter obs "lmc.soundness_summary_misses"))
+
+(* The §5.5 Paxos and SWIM ack-race hunts from pinned live seeds, work
+   bounded (no time limit) so that every count repeats exactly.  The
+   expected numbers are regression pins: how soundness verification
+   caches its prefilter or keys its search must not move any of them
+   — verdicts, call counts, or the witness schedule. *)
+module Pinned_hunt
+    (Live : Dsm.Protocol.S)
+    (Check : Dsm.Protocol.S
+               with type state = Live.state
+                and type message = Live.message
+                and type action = Live.action) =
+struct
+  module O = Online.Online_mc.Make (Live) (Check)
+  module S = Sim.Live_sim.Make (Live)
+  module W = Lmc.Witness.Make (Check)
+
+  let run ~seed ~plan ~interval ~max_live ~max_depth ~max_transitions
+      ~crash_budget ~invariant =
+    let faults =
+      match Fault.Plan.of_string plan with
+      | Ok p -> p
+      | Error e -> failwith e
+    in
+    let config =
+      {
+        O.sim =
+          {
+            S.seed;
+            link =
+              Net.Lossy_link.create ~drop_prob:0.3 ~latency_min:0.05
+                ~latency_max:0.3 ();
+            timer_min = 2.0;
+            timer_max = 20.0;
+            action_prob = None;
+            faults;
+          };
+        check_interval = interval;
+        max_live_time = max_live;
+        checker =
+          {
+            O.Checker.default_config with
+            max_depth;
+            max_transitions;
+            crash_budget;
+          };
+        action_bounds = [ 1; 2 ];
+        steer = false;
+        steer_scope = `Exact_action;
+        supervisor = O.default_supervisor;
+        store = None;
+      }
+    in
+    match (O.run config ~strategy:O.Checker.Automatic ~invariant).O.report with
+    | None -> fail "no bug found"
+    | Some r ->
+        let v = r.O.violation in
+        check Alcotest.bool "witness replays" true
+          (W.replay ~init:r.O.snapshot v.O.Checker.schedule <> None);
+        let res = r.O.result in
+        ( res.O.Checker.soundness_calls,
+          res.O.Checker.soundness_rejections,
+          res.O.Checker.soundness_prefilter_rejections
+          + res.O.Checker.soundness_search_rejections,
+          Format.asprintf "%a"
+            (Dsm.Trace.pp ~pp_message:Check.pp_message
+               ~pp_action:Check.pp_action)
+            v.O.Checker.schedule )
+end
+
+let check_pinned name ~calls ~rejections ~schedule (c, r, split, sched) =
+  check Alcotest.int (name ^ " soundness calls") calls c;
+  check Alcotest.int (name ^ " soundness rejections") rejections r;
+  check Alcotest.int (name ^ " rejection split adds up") r split;
+  check
+    Alcotest.(list string)
+    (name ^ " witness schedule") schedule
+    (List.map String.trim
+       (String.split_on_char '\n' (String.trim sched)))
+
+let test_pinned_paxos_hunt () =
+  let module Cfg (F : sig
+    val fresh : bool
+  end) =
+  struct
+    let num_nodes = 3
+    let proposers = [ 0; 1; 2 ]
+    let max_attempts = 2
+    let max_index = 16
+    let fresh_proposals = F.fresh
+    let bug = Protocols.Paxos_core.Last_response_wins
+  end in
+  let module Live = Protocols.Paxos.Make (Cfg (struct
+    let fresh = true
+  end)) in
+  let module Check = Protocols.Paxos.Make (Cfg (struct
+    let fresh = false
+  end)) in
+  let module H = Pinned_hunt (Live) (Check) in
+  H.run ~seed:7 ~plan:"" ~interval:30. ~max_live:90. ~max_depth:None
+    ~max_transitions:(Some 100_000) ~crash_budget:0 ~invariant:Check.safety
+  |> check_pinned "paxos-buggy" ~calls:43973 ~rejections:43972
+       ~schedule:
+         [
+           "1. execute propose(i=1) at N2";
+           "2. deliver N2->N0:Prepare(i=1,r=9)";
+           "3. deliver N2->N1:Prepare(i=1,r=9)";
+           "4. deliver N1->N2:Promise(i=1,r=9,vr=5,vv=2)";
+           "5. deliver N0->N2:Promise(i=1,r=9,vr=0,vv=_)";
+           "6. deliver N2->N0:Accept(i=1,r=9,v=3)";
+           "7. deliver N0->N0:Learn(i=1,r=9,v=3)";
+           "8. deliver N2->N1:Accept(i=1,r=9,v=3)";
+           "9. deliver N1->N0:Learn(i=1,r=9,v=3)";
+         ]
+
+let test_pinned_ackrace_hunt () =
+  let module P = Protocols.Swim.Make (struct
+    let num_servers = 4
+    let bug = Protocols.Swim.Ack_race
+  end) in
+  let module H = Pinned_hunt (P) (P) in
+  H.run ~seed:5
+    ~plan:
+      "crash:node=2,at=30,recover=45;crash:node=2,at=120,recover=135;\
+       crash:node=2,at=240,recover=255"
+    ~interval:15. ~max_live:60. ~max_depth:(Some 6) ~max_transitions:None
+    ~crash_budget:1 ~invariant:P.membership_safety
+  |> check_pinned "swim-ackrace" ~calls:1385 ~rejections:1384
+       ~schedule:
+         [
+           "1. execute probe-round at N0";
+           "2. execute probe-round at N0";
+           "3. crash-recover N0";
+           "4. deliver N0->N1:PingReq(2,#4)";
+           "5. crash-recover N1";
+           "6. deliver N1->N2:RelayPing(#4)";
+           "7. deliver N0->N2:Ping(#4)";
+           "8. execute probe-round at N3";
+           "9. deliver N3->N0:Ping(#3)";
+           "10. execute probe-round at N3";
+           "11. deliver N3->N1:PingReq(0,#3)";
+           "12. deliver N1->N0:RelayPing(#4)";
+           "13. deliver N0->N1:RelayAck(#4)";
+           "14. deliver N0->N3:Ack(#3)";
+           "15. deliver N1->N3:FwdAck(#4)";
+         ]
+
 (* ---------- memory accounting ---------- *)
 
 let test_lmc_memory_smaller_than_global () =
@@ -592,6 +827,15 @@ let test_sym_equiv_paxos () =
 let () =
   Alcotest.run "lmc"
     [
+      ( "summary cache",
+        [
+          Alcotest.test_case "stale summaries never served" `Quick
+            test_summary_cache_invalidated;
+          Alcotest.test_case "paxos-buggy hunt pinned" `Quick
+            test_pinned_paxos_hunt;
+          Alcotest.test_case "swim ack-race hunt pinned" `Quick
+            test_pinned_ackrace_hunt;
+        ] );
       ( "primer",
         [
           Alcotest.test_case "Fig. 4 numbers" `Quick test_primer_numbers;

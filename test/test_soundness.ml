@@ -257,6 +257,39 @@ let test_dag_initial_net () =
   check Alcotest.bool "with net valid" true
     (is_valid (Lmc.Soundness.check_dag ~initial_net:[ fp "m" ] graphs))
 
+(* Node 0 reaches vertex 2 along two paths and then sends "go"; node 1
+   needs "go" and then [need] copies of "m".  The path tried first
+   leaves the wrong net at vertex 2 and fails; the second reaches the
+   same positions with the net node 1 needs.  A memo that confuses the
+   two configurations — by ignoring which messages are in flight, or
+   how many — calls the combination invalid. *)
+let memo_case ~first ~second ~need =
+  [|
+    graph ~root:0 ~target:4
+      [
+        (0, ev 0 "second" ~produces:second, 3);
+        (3, ev 0 "y", 2);
+        (0, ev 0 "first" ~produces:first, 1);
+        (1, ev 0 "x", 2);
+        (2, ev 0 "go" ~produces:[ "go" ], 4);
+      ];
+    graph ~root:0 ~target:(1 + List.length need)
+      ((0, ev 1 "start" ~requires:"go", 1)
+      :: List.mapi
+           (fun i m -> (i + 1, ev 1 (Printf.sprintf "r%d" i) ~requires:m, i + 2))
+           need);
+  |]
+
+let test_dag_memo_exact () =
+  check Alcotest.bool "message identity" true
+    (is_valid
+       (Lmc.Soundness.check_dag ~initial_net:[]
+          (memo_case ~first:[ "n" ] ~second:[ "m" ] ~need:[ "m" ])));
+  check Alcotest.bool "message multiplicity" true
+    (is_valid
+       (Lmc.Soundness.check_dag ~initial_net:[]
+          (memo_case ~first:[ "m" ] ~second:[ "m"; "m" ] ~need:[ "m"; "m" ])))
+
 (* ---------- property: projections of real runs are valid ---------- *)
 
 (* Generate a random valid run: a sequence of events where each event
@@ -349,6 +382,217 @@ let prop_ghost_requirement_invalid =
             List.filter (fun (e : Lmc.Soundness.event) -> e.node = n) poisoned)
       in
       is_invalid (Lmc.Soundness.check ~initial_net:[] seqs))
+
+(* ---------- differential: check_dag against a brute-force search ---------- *)
+
+(* Random small component graphs: a root->target chain (each link
+   present with high probability) plus random extra edges — back edges,
+   cross edges and self-edges — and sometimes a neutral self-edge that
+   consumes and re-produces one message.  Messages come from a
+   three-letter alphabet, so consumptions often find producers.  Extra
+   edges always consume, which keeps most (not all) configuration
+   spaces finite, so the reference below can decide them. *)
+let gen_dag_case =
+  let open QCheck.Gen in
+  let msg = oneofl [ "a"; "b"; "c" ] in
+  let gen_event ?(ratio = 0.5) comp k =
+    let* requires = opt ~ratio msg in
+    let* produces = list_size (int_range 0 (if k < 100 then 2 else 1)) msg in
+    return (ev comp (Printf.sprintf "c%d_e%d" comp k) ?requires ~produces)
+  in
+  let gen_component comp =
+    let* v = int_range 1 4 in
+    let* chain =
+      flatten_l
+        (List.init (v - 1) (fun i ->
+             let* keep = float_bound_inclusive 1.0 in
+             let* e = gen_event comp i in
+             return (if keep < 0.9 then [ (i, e, i + 1) ] else [])))
+    in
+    let* extra =
+      list_size (int_range 0 4)
+        (let* u = int_range 0 (v - 1) in
+         let* w = int_range 0 (v - 1) in
+         return (u, w))
+    in
+    let* extra =
+      flatten_l
+        (List.mapi
+           (fun j (u, w) ->
+             let* e = gen_event ~ratio:1.0 comp (100 + j) in
+             return (u, e, w))
+           extra)
+    in
+    let* neutral = opt ~ratio:0.3 (pair (int_range 0 (v - 1)) msg) in
+    let neutral =
+      match neutral with
+      | None -> []
+      | Some (u, m) ->
+          [ (u, ev comp (Printf.sprintf "c%d_n" comp) ~requires:m ~produces:[ m ], u) ]
+    in
+    return (graph ~root:0 ~target:(v - 1) (List.concat chain @ extra @ neutral))
+  in
+  let* k = int_range 2 4 in
+  let* graphs = flatten_l (List.init k gen_component) in
+  let* initial_net = list_size (int_range 1 2) msg in
+  return (Array.of_list graphs, List.map fp initial_net)
+
+let print_dag_case (graphs, initial_net) =
+  let short fp = String.sub (Dsm.Fingerprint.to_hex fp) 0 6 in
+  let pev (e : Lmc.Soundness.event) =
+    Printf.sprintf "%s%s->[%s]" (short e.label)
+      (match e.requires with Some r -> "?" ^ short r | None -> "")
+      (String.concat "," (List.map short e.produces))
+  in
+  String.concat "\n"
+    (Printf.sprintf "net [%s]" (String.concat "," (List.map short initial_net))
+    :: Array.to_list
+         (Array.mapi
+            (fun i (g : Lmc.Soundness.node_graph) ->
+              Printf.sprintf "comp %d: %d->%d %s" i g.root g.target
+                (String.concat " "
+                   (List.map
+                      (fun (u, e, v) -> Printf.sprintf "(%d %s %d)" u (pev e) v)
+                      g.edges)))
+            graphs))
+
+type reference = Reachable | Unreachable | Unknown
+
+(* Exhaustive breadth-first search over (positions, net counts) with an
+   exact visited set: every enabled edge of every component is a move.
+   The configuration space can be infinite (productive cycles), so the
+   search gives up — [Unknown] — after [cap] configurations. *)
+let reference_search ?(cap = 5_000) ~initial_net
+    (graphs : Lmc.Soundness.node_graph array) =
+  let n = Array.length graphs in
+  let ids = Hashtbl.create 8 in
+  let id fp =
+    match Hashtbl.find_opt ids fp with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length ids in
+        Hashtbl.add ids fp i;
+        i
+  in
+  let edges =
+    Array.map
+      (fun (g : Lmc.Soundness.node_graph) ->
+        List.map
+          (fun (u, (e : Lmc.Soundness.event), v) ->
+            (u, Option.map id e.requires, List.map id e.produces, v))
+          g.edges)
+      graphs
+  in
+  List.iter (fun fp -> ignore (id fp)) initial_net;
+  (* a configuration: positions, then one count per message *)
+  let start = Array.make (n + Hashtbl.length ids) 0 in
+  Array.iteri (fun i (g : Lmc.Soundness.node_graph) -> start.(i) <- g.root) graphs;
+  List.iter (fun fp -> start.(n + id fp) <- start.(n + id fp) + 1) initial_net;
+  let goal c =
+    let ok = ref true in
+    Array.iteri
+      (fun i (g : Lmc.Soundness.node_graph) -> if c.(i) <> g.target then ok := false)
+      graphs;
+    !ok
+  in
+  let visited = Hashtbl.create 1024 in
+  let queue = Queue.create () in
+  Hashtbl.replace visited start ();
+  Queue.push start queue;
+  let rec loop () =
+    if Queue.is_empty queue then Unreachable
+    else if Hashtbl.length visited > cap then Unknown
+    else
+      let c = Queue.pop queue in
+      if goal c then Reachable
+      else begin
+        for i = 0 to n - 1 do
+          List.iter
+            (fun (u, req, prods, v) ->
+              let enabled =
+                u = c.(i)
+                && match req with None -> true | Some r -> c.(n + r) > 0
+              in
+              if enabled then begin
+                let c' = Array.copy c in
+                Option.iter (fun r -> c'.(n + r) <- c'.(n + r) - 1) req;
+                List.iter (fun p -> c'.(n + p) <- c'.(n + p) + 1) prods;
+                c'.(i) <- v;
+                if not (Hashtbl.mem visited c') then begin
+                  Hashtbl.replace visited c' ();
+                  Queue.push c' queue
+                end
+              end)
+            edges.(i)
+        done;
+        loop ()
+      end
+  in
+  loop ()
+
+(* Replays a witness order edge by edge: each event must leave its
+   component's current vertex and be enabled by the net; at the end
+   every component must stand on its target. *)
+let replays ~initial_net (graphs : Lmc.Soundness.node_graph array) order =
+  let pos = Array.map (fun (g : Lmc.Soundness.node_graph) -> g.root) graphs in
+  let net = Hashtbl.create 16 in
+  let count fp = Option.value ~default:0 (Hashtbl.find_opt net fp) in
+  List.iter (fun fp -> Hashtbl.replace net fp (count fp + 1)) initial_net;
+  let step (e : Lmc.Soundness.event) =
+    let i = e.node in
+    match
+      List.find_opt
+        (fun (u, (e' : Lmc.Soundness.event), _) ->
+          u = pos.(i) && Dsm.Fingerprint.equal e'.label e.label)
+        graphs.(i).edges
+    with
+    | None -> false
+    | Some (_, _, v) -> (
+        match e.requires with
+        | Some r when count r = 0 -> false
+        | req ->
+            Option.iter (fun r -> Hashtbl.replace net r (count r - 1)) req;
+            List.iter (fun p -> Hashtbl.replace net p (count p + 1)) e.produces;
+            pos.(i) <- v;
+            true)
+  in
+  List.for_all step order
+  && Array.for_all2 (fun p (g : Lmc.Soundness.node_graph) -> p = g.target) pos graphs
+
+let dag_case = QCheck.make ~print:print_dag_case gen_dag_case
+
+(* A [Valid] order must replay and a reachable target must not be
+   called [Invalid].  A search verdict must match the reference exactly
+   whenever the reference decides; a prefilter rejection only has to
+   be sound, because the prefilter also decides spaces that are
+   infinite (a productive cycle away from an unreachable target). *)
+let prop_dag_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"check_dag agrees with brute-force search"
+    dag_case (fun (graphs, initial_net) ->
+      let admissible =
+        Lmc.Soundness.prefilter ~initial_net
+          (Array.map Lmc.Soundness.summarize graphs)
+      in
+      match Lmc.Soundness.check_dag ~budget:20_000 ~initial_net graphs with
+      | Lmc.Soundness.Valid order ->
+          replays ~initial_net graphs order
+          && reference_search ~initial_net graphs <> Unreachable
+      | Lmc.Soundness.Invalid when not admissible ->
+          reference_search ~initial_net graphs <> Reachable
+      | Lmc.Soundness.Invalid -> (
+          match reference_search ~initial_net graphs with
+          | Unreachable -> true
+          | Reachable -> false
+          | Unknown -> QCheck.assume_fail ())
+      | Lmc.Soundness.Budget_exhausted -> QCheck.assume_fail ())
+
+let prop_dag_summaries_agree =
+  QCheck.Test.make ~count:500
+    ~name:"check_dag with precomputed summaries = without" dag_case
+    (fun (graphs, initial_net) ->
+      let summaries = Array.map Lmc.Soundness.summarize graphs in
+      Lmc.Soundness.check_dag ~budget:20_000 ~summaries ~initial_net graphs
+      = Lmc.Soundness.check_dag ~budget:20_000 ~initial_net graphs)
 
 (* ---------- Combination ---------- *)
 
@@ -449,6 +693,7 @@ let () =
             test_dag_optional_consume_not_filtered;
           Alcotest.test_case "cycle" `Quick test_dag_cycle_tolerated;
           Alcotest.test_case "initial net" `Quick test_dag_initial_net;
+          Alcotest.test_case "memo keys are exact" `Quick test_dag_memo_exact;
         ] );
       ( "combination",
         [
@@ -465,5 +710,7 @@ let () =
             prop_valid_run_projections;
             prop_valid_run_projections_dag;
             prop_ghost_requirement_invalid;
+            prop_dag_matches_reference;
+            prop_dag_summaries_agree;
           ] );
     ]
