@@ -1,6 +1,8 @@
 # Developer entry points.  `make check` is the tier-1 gate: build,
-# unit tests, and a CLI smoke test asserting that the observability
-# output stays parseable JSONL.
+# unit tests, and CLI smoke tests asserting that the observability
+# output stays parseable JSONL and that recordings of both the
+# `lmc-gen' checker and the default one replay byte for byte at one
+# and two domains.
 
 .PHONY: all build test check lint bench bench-quick soak soak-telemetry \
   soak-scenario perfbench-smoke clean
@@ -23,6 +25,12 @@ check: build test
 	dune exec bin/lmc_cli.exe -- replay /tmp/rec.jsonl --domains 2 > /dev/null
 	dune exec bin/lmc_cli.exe -- report /tmp/rec.jsonl --metrics /tmp/m.jsonl \
 	  > /dev/null
+	dune exec bin/lmc_cli.exe -- check -p 2pc-buggy --record /tmp/rec-auto.jsonl \
+	  > /dev/null; \
+	  test $$? -le 1
+	dune exec bin/jsonl_check.exe -- /tmp/rec-auto.jsonl
+	dune exec bin/lmc_cli.exe -- replay /tmp/rec-auto.jsonl --domains 1 > /dev/null
+	dune exec bin/lmc_cli.exe -- replay /tmp/rec-auto.jsonl --domains 2 > /dev/null
 	@echo "check: OK"
 
 # Static-analysis gate: protocol sanitizers over every bundled instance

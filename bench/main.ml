@@ -75,10 +75,6 @@ module L1 = Lmc.Checker.Make (Paxos1)
 
 let paxos1_init () = Dsm.Protocol.initial_system (module Paxos1)
 
-let opt1 =
-  L1.Invariant_specific
-    { abstract = Paxos1.abstraction; conflict = Paxos1.conflicts }
-
 module Paxos2 = Protocols.Paxos.Make (struct
   let num_nodes = 3
   let proposers = [ 0; 1 ]
@@ -102,10 +98,6 @@ module Buggy = Protocols.Paxos.Make (struct
 end)
 
 module L_buggy = Lmc.Checker.Make (Buggy)
-
-let opt_buggy =
-  L_buggy.Invariant_specific
-    { abstract = Buggy.abstraction; conflict = Buggy.conflicts }
 
 (* ------------------------------------------------------------------ *)
 (* Figures 3-4: the primer                                             *)
@@ -145,9 +137,9 @@ type sweep_point = {
   gen_time : float;
   gen_system : int;
   gen_bytes : int;
-  opt_time : float;
-  opt_system : int;
-  opt_bytes : int;
+  auto_time : float;
+  auto_system : int;
+  auto_bytes : int;
   local_states : int;
   local_bytes : int;
 }
@@ -184,9 +176,9 @@ let fig10_12 () =
       L1.run cfg ~strategy ~invariant:Paxos1.safety (paxos1_init ())
     in
     let gen = lmc L1.General (fun c -> c) in
-    let opt = lmc opt1 (fun c -> c) in
+    let auto = lmc L1.Automatic (fun c -> c) in
     let local =
-      lmc opt1 (fun c -> { c with L1.create_system_states = false })
+      lmc L1.Automatic (fun c -> { c with L1.create_system_states = false })
     in
     points :=
       {
@@ -197,9 +189,9 @@ let fig10_12 () =
         gen_time = gen.elapsed;
         gen_system = gen.system_states_created;
         gen_bytes = gen.retained_bytes;
-        opt_time = opt.elapsed;
-        opt_system = opt.system_states_created;
-        opt_bytes = opt.retained_bytes;
+        auto_time = auto.elapsed;
+        auto_system = auto.system_states_created;
+        auto_bytes = auto.retained_bytes;
         local_states = local.total_node_states;
         local_bytes = local.retained_bytes;
       }
@@ -211,31 +203,31 @@ let fig10_12 () =
     | None -> Printf.sprintf "%10s" ">cap"
   in
   row "\n-- Figure 10: elapsed seconds vs depth --\n";
-  row "%5s %10s %10s %10s\n" "depth" "B-DFS" "LMC-GEN" "LMC-OPT";
+  row "%5s %10s %10s %10s\n" "depth" "B-DFS" "LMC-GEN" "LMC-auto";
   List.iter
     (fun p ->
       row "%5d %s %10.4f %10.4f\n" p.depth (pp_time p.bdfs_time) p.gen_time
-        p.opt_time)
+        p.auto_time)
     points;
   row "\n-- Figure 11: states vs depth --\n";
   row "%5s %12s %14s %14s %10s\n" "depth" "B-DFS-global" "LMC-GEN-system"
-    "LMC-OPT-system" "LMC-local";
+    "LMC-auto-system" "LMC-local";
   List.iter
     (fun p ->
       row "%5d %12d %14d %14d %10d\n" p.depth p.bdfs_states p.gen_system
-        p.opt_system p.local_states)
+        p.auto_system p.local_states)
     points;
   row "\n-- Figure 12: retained memory (bytes) vs depth --\n";
-  row "%5s %12s %12s %12s %12s\n" "depth" "B-DFS" "LMC-GEN" "LMC-OPT"
+  row "%5s %12s %12s %12s %12s\n" "depth" "B-DFS" "LMC-GEN" "LMC-auto"
     "LMC-local";
   List.iter
     (fun p ->
       row "%5d %12d %12d %12d %12d\n" p.depth p.bdfs_bytes p.gen_bytes
-        p.opt_bytes p.local_bytes)
+        p.auto_bytes p.local_bytes)
     points;
   row
-    "\npaper shapes: B-DFS time explodes exponentially; LMC-OPT finishes the \
-     whole space in ms;\nLMC-OPT creates 0 system states; LMC memory stays \
+    "\npaper shapes: B-DFS time explodes exponentially; LMC-auto finishes the \
+     whole space in ms;\nLMC-auto creates 0 system states; LMC memory stays \
      flat and linear in depth.\n";
   Bench_out.record "fig10-12"
     (Dsm.Json.List
@@ -253,9 +245,9 @@ let fig10_12 () =
                 ("lmc_gen_s", Dsm.Json.Float p.gen_time);
                 ("lmc_gen_system", Dsm.Json.Int p.gen_system);
                 ("lmc_gen_bytes", Dsm.Json.Int p.gen_bytes);
-                ("lmc_opt_s", Dsm.Json.Float p.opt_time);
-                ("lmc_opt_system", Dsm.Json.Int p.opt_system);
-                ("lmc_opt_bytes", Dsm.Json.Int p.opt_bytes);
+                ("lmc_auto_s", Dsm.Json.Float p.auto_time);
+                ("lmc_auto_system", Dsm.Json.Int p.auto_system);
+                ("lmc_auto_bytes", Dsm.Json.Int p.auto_bytes);
                 ("lmc_local_states", Dsm.Json.Int p.local_states);
                 ("lmc_local_bytes", Dsm.Json.Int p.local_bytes);
               ])
@@ -271,12 +263,8 @@ let fig10_12_two_proposals () =
   let bdfs_cap = if !quick then 5.0 else 30.0 in
   let lmc_cap = if !quick then 5.0 else 10.0 in
   let init () = Dsm.Protocol.initial_system (module Paxos2) in
-  let opt2 =
-    L2.Invariant_specific
-      { abstract = Paxos2.abstraction; conflict = Paxos2.conflicts }
-  in
   row "%5s %12s %14s | %12s %12s %12s\n" "depth" "B-DFS (s)" "B-DFS states"
-    "LMC-OPT (s)" "LMC-expl (s)" "node states";
+    "LMC-auto (s)" "LMC-expl (s)" "node states";
   let bdfs_dead = ref false in
   for depth = 0 to max_depth do
     let bdfs =
@@ -304,7 +292,7 @@ let fig10_12_two_proposals () =
           max_depth = Some depth;
           time_limit = Some lmc_cap;
         }
-        ~strategy:opt2 ~invariant:Paxos2.safety (init ())
+        ~strategy:L2.Automatic ~invariant:Paxos2.safety (init ())
     in
     let le =
       L2.run
@@ -314,7 +302,7 @@ let fig10_12_two_proposals () =
           time_limit = Some lmc_cap;
           create_system_states = false;
         }
-        ~strategy:opt2 ~invariant:Paxos2.safety (init ())
+        ~strategy:L2.Automatic ~invariant:Paxos2.safety (init ())
     in
     (match bdfs with
     | Some o ->
@@ -340,7 +328,7 @@ let fig13 () =
   let snapshot = Protocols.Scenarios.wids_snapshot (module Buggy) in
   let max_depth = if !quick then 16 else 30 in
   let cap = if !quick then 10.0 else 60.0 in
-  row "%5s %12s %16s %12s %10s %10s\n" "depth" "LMC-OPT" "LMC-system-state"
+  row "%5s %12s %16s %12s %10s %10s\n" "depth" "LMC-auto" "LMC-system-state"
     "LMC-explore" "prelim" "found";
   let series = ref [] in
   let found_at = ref None in
@@ -356,17 +344,18 @@ let fig13 () =
         }
       in
       let full =
-        L_buggy.run base ~strategy:opt_buggy ~invariant:Buggy.safety snapshot
+        L_buggy.run base ~strategy:L_buggy.Automatic ~invariant:Buggy.safety
+          snapshot
       in
       let no_sound =
         L_buggy.run
           { base with verify_soundness = false }
-          ~strategy:opt_buggy ~invariant:Buggy.safety snapshot
+          ~strategy:L_buggy.Automatic ~invariant:Buggy.safety snapshot
       in
       let explore_only =
         L_buggy.run
           { base with create_system_states = false }
-          ~strategy:opt_buggy ~invariant:Buggy.safety snapshot
+          ~strategy:L_buggy.Automatic ~invariant:Buggy.safety snapshot
       in
       let hit = full.sound_violation <> None in
       if hit && !found_at = None then begin
@@ -417,28 +406,28 @@ let table51 () =
     L1.run L1.default_config ~strategy:L1.General ~invariant:Paxos1.safety
       (paxos1_init ())
   in
-  let opt =
-    L1.run L1.default_config ~strategy:opt1 ~invariant:Paxos1.safety
+  let auto =
+    L1.run L1.default_config ~strategy:L1.Automatic ~invariant:Paxos1.safety
       (paxos1_init ())
   in
-  row "%-28s %12s %12s %12s\n" "" "B-DFS" "LMC-GEN" "LMC-OPT";
+  row "%-28s %12s %12s %12s\n" "" "B-DFS" "LMC-GEN" "LMC-auto";
   row "%-28s %12.3f %12.3f %12.3f\n" "time (s)" g.stats.elapsed gen.elapsed
-    opt.elapsed;
+    auto.elapsed;
   row "%-28s %12d %12d %12d\n" "transitions" g.stats.transitions
-    gen.transitions opt.transitions;
+    gen.transitions auto.transitions;
   row "%-28s %12d %12d %12d\n" "states (global/node)" g.stats.global_states
-    gen.total_node_states opt.total_node_states;
+    gen.total_node_states auto.total_node_states;
   row "%-28s %12d %12d %12d\n" "system states" g.stats.system_states
-    gen.system_states_created opt.system_states_created;
+    gen.system_states_created auto.system_states_created;
   row "%-28s %12d %12d %12d\n" "retained bytes" g.stats.retained_bytes
-    gen.retained_bytes opt.retained_bytes;
+    gen.retained_bytes auto.retained_bytes;
   row "\ntransition reduction: %.0fx (paper: 157,332 / 1,186 = ~132x)\n"
     (float_of_int g.stats.transitions /. float_of_int (max 1 gen.transitions));
   row
-    "LMC-GEN speedup: %.0fx (paper ~300x); LMC-OPT speedup: %.0fx (paper \
+    "LMC-GEN speedup: %.0fx (paper ~300x); LMC-auto speedup: %.0fx (paper \
      ~8000x)\n"
     (g.stats.elapsed /. max 1e-9 gen.elapsed)
-    (g.stats.elapsed /. max 1e-9 opt.elapsed);
+    (g.stats.elapsed /. max 1e-9 auto.elapsed);
   let lmc_cols (r : L1.result) =
     Dsm.Json.Obj
       [
@@ -462,7 +451,7 @@ let table51 () =
                ("retained_bytes", Dsm.Json.Int g.stats.retained_bytes);
              ] );
          ("lmc_gen", lmc_cols gen);
-         ("lmc_opt", lmc_cols opt);
+         ("lmc_auto", lmc_cols auto);
        ])
 
 (* ------------------------------------------------------------------ *)
@@ -481,13 +470,11 @@ let table52 () =
     g.stats.max_depth_reached g.stats.global_states g.stats.transitions
     g.completed;
   let lcfg = { L2.default_config with time_limit = Some budget } in
-  let opt2 =
-    L2.Invariant_specific
-      { abstract = Paxos2.abstraction; conflict = Paxos2.conflicts }
+  let l =
+    L2.run lcfg ~strategy:L2.Automatic ~invariant:Paxos2.safety (init ())
   in
-  let l = L2.run lcfg ~strategy:opt2 ~invariant:Paxos2.safety (init ()) in
   row
-    "LMC-OPT : node depth %2d, system depth %2d, %d node states, %d \
+    "LMC-auto: node depth %2d, system depth %2d, %d node states, %d \
      preliminary violations (cross-branch), all-rejected=%b, completed=%b\n"
     l.max_node_depth l.max_system_depth l.total_node_states
     l.preliminary_violations
@@ -495,7 +482,7 @@ let table52 () =
     && l.sound_violation = None)
     l.completed;
   row
-    "LMC-OPT : soundness verification consumed %.1f%% of the run (paper: the \
+    "LMC-auto: soundness verification consumed %.1f%% of the run (paper: the \
      major contributor)\n"
     (100. *. l.soundness_time /. max 1e-9 l.elapsed);
   row
@@ -556,11 +543,10 @@ let table55 () =
       store = None;
     }
   in
-  let strategy =
-    Online_p.Checker.Invariant_specific
-      { abstract = Check.abstraction; conflict = Check.conflicts }
+  let outcome =
+    Online_p.run config ~strategy:Online_p.Checker.Automatic
+      ~invariant:Check.safety
   in
-  let outcome = Online_p.run config ~strategy ~invariant:Check.safety in
   (match outcome.report with
   | Some r ->
       row
@@ -622,11 +608,10 @@ let table56 () =
       store = None;
     }
   in
-  let strategy =
-    Online_p.Checker.Invariant_specific
-      { abstract = OP.abstraction; conflict = OP.conflicts }
+  let outcome =
+    Online_p.run config ~strategy:Online_p.Checker.Automatic
+      ~invariant:OP.safety
   in
-  let outcome = Online_p.run config ~strategy ~invariant:OP.safety in
   (match outcome.report with
   | Some r ->
       row
@@ -663,7 +648,7 @@ let ablation_chain () =
   in
   let gp = G1.run G1.default_config ~invariant:Paxos1.safety (paxos1_init ()) in
   let lp =
-    L1.run L1.default_config ~strategy:opt1 ~invariant:Paxos1.safety
+    L1.run L1.default_config ~strategy:L1.Automatic ~invariant:Paxos1.safety
       (paxos1_init ())
   in
   row "%-24s %14s %14s %10s\n" "" "B-DFS trans" "LMC trans" "ratio";
@@ -680,7 +665,7 @@ let ablation_chain () =
 let ablation_history () =
   header "Ablation 4.2: per-state message histories (duplicate suppression)";
   let with_history =
-    L1.run L1.default_config ~strategy:opt1 ~invariant:Paxos1.safety
+    L1.run L1.default_config ~strategy:L1.Automatic ~invariant:Paxos1.safety
       (paxos1_init ())
   in
   let cfg =
@@ -692,7 +677,7 @@ let ablation_history () =
     }
   in
   let without =
-    L1.run cfg ~strategy:opt1 ~invariant:Paxos1.safety (paxos1_init ())
+    L1.run cfg ~strategy:L1.Automatic ~invariant:Paxos1.safety (paxos1_init ())
   in
   row "with histories    : %8d transitions, %6d node states, completed=%b\n"
     with_history.transitions with_history.total_node_states
@@ -718,7 +703,8 @@ let ablation_soundness () =
   in
   let run name cfg =
     let r =
-      L_buggy.run cfg ~strategy:opt_buggy ~invariant:Buggy.safety snapshot
+      L_buggy.run cfg ~strategy:L_buggy.Automatic ~invariant:Buggy.safety
+        snapshot
     in
     row
       "%-22s: bug=%-5b %8.2fs  %8d soundness calls, %10d checks, %8d \
@@ -762,7 +748,6 @@ let ablation_auto () =
   in
   row "-- correct Paxos, one proposal --\n";
   run "LMC-GEN" L1.General;
-  run "LMC-OPT (handcrafted)" opt1;
   run "LMC-AUTO (derived)" L1.Automatic;
   let module RTB = Protocols.Randtree.Make (struct
     let num_nodes = 4
@@ -785,10 +770,10 @@ let ablation_auto () =
   run "LMC-GEN" LR.General;
   run "LMC-AUTO (derived)" LR.Automatic;
   row
-    "\nthe derived pruning matches the handcrafted Paxos abstraction (zero \
-     combinations on a\nbug-free run) and needs no per-protocol code; \
-     node-local invariants combine only when\nthe new state itself \
-     violates.\n"
+    "\nthe pruning read off the Paxos safety key creates zero combinations \
+     on a bug-free\nrun (the paper's LMC-OPT result) with no per-protocol \
+     code; node-local invariants\ncombine only around a violating \
+     state.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Breadth: every bundled protocol under both checkers                 *)
@@ -798,16 +783,16 @@ module Breadth_row (P : Dsm.Protocol.S) = struct
   module G = Mc_global.Bdfs.Make (P)
   module L = Lmc.Checker.Make (P)
 
-  let run name ?strategy invariant expect_bug =
+  let run name invariant expect_bug =
     let init () = Dsm.Protocol.initial_system (module P) in
     let g =
       G.run { G.default_config with time_limit = Some 30.0 } ~invariant
         (init ())
     in
-    let strategy = match strategy with Some s -> s | None -> L.General in
     let l =
-      L.run { L.default_config with time_limit = Some 30.0 } ~strategy
-        ~invariant (init ())
+      L.run
+        { L.default_config with time_limit = Some 30.0 }
+        ~strategy:L.Automatic ~invariant (init ())
     in
     let lmc_bug = l.sound_violation <> None in
     let global_bug = g.violation <> None in
@@ -858,9 +843,6 @@ let breadth () =
   B.run "randtree-buggy" RTB.disjointness true;
   let module B = Breadth_row (Paxos1) in
   B.run "paxos (1 proposal)"
-    ~strategy:
-      (B.L.Invariant_specific
-         { abstract = Paxos1.abstraction; conflict = Paxos1.conflicts })
     Paxos1.safety false;
   let module T2 = Protocols.Twophase.Make (struct
     let num_nodes = 4
@@ -869,9 +851,6 @@ let breadth () =
   end) in
   let module B = Breadth_row (T2) in
   B.run "2pc (one no-voter)"
-    ~strategy:
-      (B.L.Invariant_specific
-         { abstract = T2.abstraction; conflict = T2.conflicts })
     T2.atomicity false;
   let module T2B = Protocols.Twophase.Make (struct
     let num_nodes = 4
@@ -880,9 +859,6 @@ let breadth () =
   end) in
   let module B = Breadth_row (T2B) in
   B.run "2pc-buggy"
-    ~strategy:
-      (B.L.Invariant_specific
-         { abstract = T2B.abstraction; conflict = T2B.conflicts })
     T2B.atomicity true;
   let module R = Protocols.Ring_election.Make (struct
     let num_nodes = 3
@@ -891,9 +867,6 @@ let breadth () =
   end) in
   let module B = Breadth_row (R) in
   B.run "ring-election"
-    ~strategy:
-      (B.L.Invariant_specific
-         { abstract = R.abstraction; conflict = R.conflicts })
     R.agreement false;
   let module PBS = Protocols.Pb_store.Make (struct
     let key = 7
@@ -916,9 +889,6 @@ let breadth () =
   end) in
   let module B = Breadth_row (RB) in
   B.run "ring-buggy"
-    ~strategy:
-      (B.L.Invariant_specific
-         { abstract = RB.abstraction; conflict = RB.conflicts })
     RB.agreement true;
   row
     "\nboth checkers agree on every verdict; the transition ratio tracks \
@@ -1022,10 +992,11 @@ let obs_overhead () =
         L1.run cfg ~strategy:L1.General ~invariant:Paxos1.safety
           (paxos1_init ())
       in
-      let opt =
-        L1.run cfg ~strategy:opt1 ~invariant:Paxos1.safety (paxos1_init ())
+      let auto =
+        L1.run cfg ~strategy:L1.Automatic ~invariant:Paxos1.safety
+          (paxos1_init ())
       in
-      total := !total +. gen.elapsed +. opt.elapsed
+      total := !total +. gen.elapsed +. auto.elapsed
     done;
     !total
   in
@@ -1274,11 +1245,10 @@ let scaling () =
         store = None;
       }
     in
-    let strategy =
-      Online_p.Checker.Invariant_specific
-        { abstract = Check.abstraction; conflict = Check.conflicts }
+    let outcome =
+      Online_p.run config ~strategy:Online_p.Checker.Automatic
+        ~invariant:Check.safety
     in
-    let outcome = Online_p.run config ~strategy ~invariant:Check.safety in
     (outcome.Online_p.report <> None, outcome.Online_p.total_check_time)
   in
   row "\n-- 5.5 hunt (WiDS Paxos bug), total checking time --\n";
@@ -1670,7 +1640,7 @@ let store_bench () =
   Unix.mkdir dir 0o755;
   let rss () =
     Gc.compact ();
-    match Store.Rss.sample_bytes () with Some b -> b | None -> 0
+    Obs.Procstat.rss_bytes ()
   in
   let points =
     List.map
@@ -1935,11 +1905,8 @@ let symmetry_bench () =
           store = None;
         }
       in
-      let strategy =
-        Online_p.Checker.Invariant_specific
-          { abstract = Check.abstraction; conflict = Check.conflicts }
-      in
-      Online_p.run config ~strategy ~invariant:Check.safety
+      Online_p.run config ~strategy:Online_p.Checker.Automatic
+        ~invariant:Check.safety
     in
     let off = hunt (Dsm.Symmetry.identity_group 3) in
     let on = hunt yc.Yc.verdict.Yc.orbit in

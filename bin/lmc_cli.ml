@@ -2,7 +2,7 @@
 
    Subcommands:
      list   - the bundled protocol instances
-     check  - model-check a protocol offline (B-DFS, LMC-GEN, LMC-OPT)
+     check  - model-check a protocol offline (B-DFS, LMC-GEN, LMC-auto)
      hunt   - online checking against a simulated lossy deployment
      lint   - protocol sanitizers (determinism, canonicality, coverage)
      replay - re-execute a flight-recorder file, fail on divergence
@@ -10,13 +10,21 @@
 
 open Cmdliner
 
-type checker_kind = Bdfs | Lmc_gen | Lmc_opt | Lmc_auto
+type checker_kind = Bdfs | Lmc_gen | Lmc_auto
 
 let checker_name = function
   | Bdfs -> "bdfs"
   | Lmc_gen -> "lmc-gen"
-  | Lmc_opt -> "lmc-opt"
   | Lmc_auto -> "lmc-auto"
+
+(* Inverse of {!checker_name}.  "lmc-opt" is the paper's name for the
+   pruned strategy, which the invariant-derived [Automatic] replaced;
+   it stays accepted on the command line and in old recordings. *)
+let checker_of_name = function
+  | "bdfs" -> Some Bdfs
+  | "lmc-gen" -> Some Lmc_gen
+  | "lmc-opt" | "lmc-auto" -> Some Lmc_auto
+  | _ -> None
 
 (* The --symmetry flag.  [Sym_group] carries the CLI name ("full",
    "rot"); the degree-dependent group is resolved per protocol.  A
@@ -118,12 +126,14 @@ let lint_protocol (module P : Dsm.Protocol.S) ~name ~max_depth
     l_completed = r.completed && y_completed;
   }
 
-(* One bundled protocol instance, closed over its invariant, its
-   optional LMC-OPT abstraction, an online-hunt setup, and its
-   sanitizer entry point. *)
+(* One bundled protocol instance, closed over its invariant, an
+   online-hunt setup, and its sanitizer entry point. *)
 type runner = {
   name : string;
   description : string;
+  default_depth : int option;
+      (* the depth bound [check] applies when -d is absent; it goes
+         into the run header, so a replay re-runs the same bound *)
   check : check_params -> int;
   hunt :
     (obs:Obs.scope -> trace:Obs.Trace.t -> seed:int -> drop:float ->
@@ -426,6 +436,8 @@ module Check_driver (P : Dsm.Protocol.S) = struct
 
   let resolve_symmetry = SR.resolve
 
+  let lmc_strategy = function Lmc_gen -> L.General | _ -> L.Automatic
+
   let pp_violation_trace trace =
     Format.printf "witness schedule:@.%a"
       (Dsm.Trace.pp ~pp_message:P.pp_message ~pp_action:P.pp_action)
@@ -485,7 +497,7 @@ module Check_driver (P : Dsm.Protocol.S) = struct
                         ] );
               ])))
 
-  let run ?strategy ~invariant params =
+  let run ~invariant params =
     let init = Dsm.Protocol.initial_system (module P) in
     let sym_spec, orbit_group = resolve_symmetry ~invariant params.symmetry in
     match params.kind with
@@ -548,19 +560,8 @@ module Check_driver (P : Dsm.Protocol.S) = struct
         | None ->
             if not params.json then Format.printf "no violation@.";
             0)
-    | Lmc_gen | Lmc_opt | Lmc_auto ->
-        let strategy =
-          match (params.kind, strategy) with
-          | Lmc_opt, Some s -> s
-          | Lmc_opt, None ->
-              if not params.json then
-                Format.printf
-                  "note: no invariant-specific abstraction for this \
-                   protocol; using the general strategy@.";
-              L.General
-          | Lmc_auto, _ -> L.Automatic
-          | _ -> L.General
-        in
+    | Lmc_gen | Lmc_auto ->
+        let strategy = lmc_strategy params.kind in
         let cfg =
           {
             L.default_config with
@@ -593,14 +594,7 @@ module Check_driver (P : Dsm.Protocol.S) = struct
             r.sound_violation
         in
         if params.json then
-          emit_json
-            ~checker:
-              (match params.kind with
-              | Lmc_gen -> "lmc-gen"
-              | Lmc_opt -> "lmc-opt"
-              | Lmc_auto -> "lmc-auto"
-              | Bdfs -> assert false)
-            ~violation
+          emit_json ~checker:(checker_name params.kind) ~violation
             ~stats:
               [
                 ("transitions", Dsm.Json.Int r.transitions);
@@ -650,16 +644,9 @@ module Check_driver (P : Dsm.Protocol.S) = struct
      diffs them against the file; it is skipped when the original run
      was budget-truncated (a wall-clock limit cuts the stream at a
      non-deterministic point) or when a bounded ring dropped its head. *)
-  let replay ?strategy ~invariant ~header ~records ~domains () =
+  let replay ~invariant ~header ~records ~domains () =
     let wcount, wfail = WR.replay_witnesses records in
-    let kind =
-      match jstr (jfield "checker" header) with
-      | Some "bdfs" -> Some Bdfs
-      | Some "lmc-gen" -> Some Lmc_gen
-      | Some "lmc-opt" -> Some Lmc_opt
-      | Some "lmc-auto" -> Some Lmc_auto
-      | _ -> None
-    in
+    let kind = Option.bind (jstr (jfield "checker" header)) checker_of_name in
     let completed =
       List.fold_left
         (fun acc fields ->
@@ -739,13 +726,8 @@ module Check_driver (P : Dsm.Protocol.S) = struct
                      symmetry = sym_spec;
                    }
                    ~invariant init)
-          | _ ->
-              let strategy =
-                match (kind, strategy) with
-                | Lmc_opt, Some s -> s
-                | Lmc_auto, _ -> L.Automatic
-                | _ -> L.General
-              in
+          | Lmc_gen | Lmc_auto ->
+              let strategy = lmc_strategy kind in
               ignore
                 (L.run
                    {
@@ -833,7 +815,7 @@ struct
       wcount wfail;
     if wfail > 0 then 1 else 0
 
-  let run ?strategy ?action_prob ?(faults = Fault.Plan.empty)
+  let run ?action_prob ?(faults = Fault.Plan.empty)
       ?(crash_budget = 0) ?restart_budget_ms ?max_retries ?store_dir
       ?(resume = false) ?(symmetry = Sym_off) ~obs ~trace ~invariant ~seed
       ~drop ~interval ~max_live ~budget ~steer ~domains ~verify_domains () =
@@ -876,8 +858,13 @@ struct
         store = Option.map (fun dir -> { O.dir; resume }) store_dir;
       }
     in
+    (* A checkpoint store makes restarts incremental by skipping the
+       combinations an earlier restart proved invariant-clean.
+       [Automatic] only ever builds combinations that violate, which a
+       new snapshot must judge again, so a hunt with a store runs the
+       full product, whose clean combinations a resume does skip. *)
     let strategy =
-      match strategy with Some s -> s | None -> O.Checker.General
+      if store_dir = None then O.Checker.Automatic else O.Checker.General
     in
     let outcome = O.run ~obs config ~strategy ~invariant in
     (* One greppable line per phase: the soak harness compares the
@@ -918,6 +905,7 @@ let tree_runner =
   {
     name = "tree";
     description = "the 5-node forwarding tree of the paper's primer (2)";
+    default_depth = None;
     check =
       (fun params ->
         D.run ~invariant:T.received_implies_sent params);
@@ -940,6 +928,7 @@ let chain_runner =
   {
     name = "chain";
     description = "8-node sequential forwarding chain (4.3's worst case)";
+    default_depth = None;
     check =
       (fun params ->
         D.run ~invariant:C.prefix_closed params);
@@ -961,6 +950,7 @@ let ping_runner =
   {
     name = "ping";
     description = "client/2-server request-response micro-protocol";
+    default_depth = None;
     check =
       (fun params ->
         D.run ~invariant:P.no_excess_pongs params);
@@ -993,6 +983,7 @@ let randtree_runner ~buggy =
       (if buggy then
          "4-node RandTree overlay with the double-bookkeeping bug"
        else "4-node RandTree overlay (children/siblings disjointness)");
+    default_depth = None;
     check =
       (fun params ->
         D.run ~invariant:R.disjointness params);
@@ -1040,23 +1031,15 @@ let paxos_runner ~buggy =
     description =
       (if buggy then "3-node Paxos with the 5.5 last-response bug"
        else "3-node Paxos, one proposal (the 5.1 benchmark space)");
-    check =
-      (fun params ->
-        D.run
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = Bench.abstraction; conflict = Bench.conflicts })
-          ~invariant:Bench.safety params);
+    default_depth = None;
+    check = (fun params -> D.run ~invariant:Bench.safety params);
     hunt =
       Some
         (fun ~obs ~trace ~seed ~drop ~interval ~max_live ~budget ~steer
              ~faults ~crash_budget ~restart_budget_ms ~max_retries ~store_dir
              ~resume ~symmetry ~domains ~verify_domains ->
-          H.run
-            ~strategy:
-              (H.O.Checker.Invariant_specific
-                 { abstract = Check.abstraction; conflict = Check.conflicts })
-            ~faults ~crash_budget ?restart_budget_ms ?max_retries ?store_dir ~resume ~symmetry ~obs ~trace
+          H.run ~faults ~crash_budget ?restart_budget_ms ?max_retries
+            ?store_dir ~resume ~symmetry ~obs ~trace
             ~invariant:Check.safety ~seed ~drop ~interval ~max_live ~budget
             ~steer ~domains ~verify_domains ());
     lint =
@@ -1070,11 +1053,7 @@ let paxos_runner ~buggy =
            the 5.1 benchmark configuration the check path uses *)
         if mode = "hunt" then H.replay_witnesses records
         else
-          D.replay
-            ~strategy:
-              (D.L.Invariant_specific
-                 { abstract = Bench.abstraction; conflict = Bench.conflicts })
-            ~invariant:Bench.safety ~header ~records ~domains ());
+          D.replay ~invariant:Bench.safety ~header ~records ~domains ());
   }
 
 let onepaxos_runner ~buggy =
@@ -1099,27 +1078,20 @@ let onepaxos_runner ~buggy =
     description =
       (if buggy then "3-node 1Paxos with the 5.6 postfix-increment bug"
        else "3-node 1Paxos over an embedded PaxosUtility");
-    check =
-      (fun params ->
-        D.run
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = OP.abstraction; conflict = OP.conflicts })
-          ~invariant:OP.safety params);
+    default_depth = None;
+    check = (fun params -> D.run ~invariant:OP.safety params);
     hunt =
       Some
         (fun ~obs ~trace ~seed ~drop ~interval ~max_live ~budget ~steer
              ~faults ~crash_budget ~restart_budget_ms ~max_retries ~store_dir
              ~resume ~symmetry ~domains ~verify_domains ->
           H.run
-            ~strategy:
-              (H.O.Checker.Invariant_specific
-                 { abstract = OP.abstraction; conflict = OP.conflicts })
             ~action_prob:(fun _ a ->
               match a with
               | Protocols.Onepaxos.Claim_leadership -> 0.1
               | _ -> 1.0)
-            ~faults ~crash_budget ?restart_budget_ms ?max_retries ?store_dir ~resume ~symmetry ~obs ~trace
+            ~faults ~crash_budget ?restart_budget_ms ?max_retries ?store_dir
+            ~resume ~symmetry ~obs ~trace
             ~invariant:OP.safety ~seed ~drop ~interval ~max_live ~budget
             ~steer ~domains ~verify_domains ());
     lint =
@@ -1130,11 +1102,7 @@ let onepaxos_runner ~buggy =
       (fun ~mode ~header ~records ~domains ->
         if mode = "hunt" then H.replay_witnesses records
         else
-          D.replay
-            ~strategy:
-              (D.L.Invariant_specific
-                 { abstract = OP.abstraction; conflict = OP.conflicts })
-            ~invariant:OP.safety ~header ~records ~domains ());
+          D.replay ~invariant:OP.safety ~header ~records ~domains ());
   }
 
 let twophase_runner ~buggy =
@@ -1155,13 +1123,8 @@ let twophase_runner ~buggy =
       (if buggy then
          "two-phase commit deciding on a majority instead of unanimity"
        else "two-phase commit, 1 coordinator + 3 participants (one no-voter)");
-    check =
-      (fun params ->
-        D.run
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = T.abstraction; conflict = T.conflicts })
-          ~invariant:T.atomicity params);
+    default_depth = None;
+    check = (fun params -> D.run ~invariant:T.atomicity params);
     hunt = None;
     lint =
       (fun ~max_depth ~max_transitions ~sym ->
@@ -1169,11 +1132,7 @@ let twophase_runner ~buggy =
           ~max_transitions ~sym ());
     replay =
       (fun ~mode:_ ~header ~records ~domains ->
-        D.replay
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = T.abstraction; conflict = T.conflicts })
-          ~invariant:T.atomicity ~header ~records ~domains ());
+        D.replay ~invariant:T.atomicity ~header ~records ~domains ());
   }
 
 let ring_runner ~buggy =
@@ -1194,13 +1153,8 @@ let ring_runner ~buggy =
       (if buggy then
          "Chang-Roberts election forwarding losing tokens (two leaders)"
        else "Chang-Roberts leader election on a 3-node ring");
-    check =
-      (fun params ->
-        D.run
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = R.abstraction; conflict = R.conflicts })
-          ~invariant:R.agreement params);
+    default_depth = None;
+    check = (fun params -> D.run ~invariant:R.agreement params);
     hunt = None;
     lint =
       (fun ~max_depth ~max_transitions ~sym ->
@@ -1208,11 +1162,7 @@ let ring_runner ~buggy =
           ~max_transitions ~sym ());
     replay =
       (fun ~mode:_ ~header ~records ~domains ->
-        D.replay
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = R.abstraction; conflict = R.conflicts })
-          ~invariant:R.agreement ~header ~records ~domains ());
+        D.replay ~invariant:R.agreement ~header ~records ~domains ());
   }
 
 let mutex_runner ~buggy =
@@ -1234,13 +1184,8 @@ let mutex_runner ~buggy =
       (if buggy then
          "token-ring mutual exclusion regenerating an unlost token"
        else "token-ring mutual exclusion, 3 nodes, 2 contenders");
-    check =
-      (fun params ->
-        D.run
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = M.abstraction; conflict = M.conflicts })
-          ~invariant:M.mutual_exclusion params);
+    default_depth = None;
+    check = (fun params -> D.run ~invariant:M.mutual_exclusion params);
     hunt = None;
     lint =
       (fun ~max_depth ~max_transitions ~sym ->
@@ -1248,11 +1193,7 @@ let mutex_runner ~buggy =
           ~max_transitions ~sym ());
     replay =
       (fun ~mode:_ ~header ~records ~domains ->
-        D.replay
-          ~strategy:
-            (D.L.Invariant_specific
-               { abstract = M.abstraction; conflict = M.conflicts })
-          ~invariant:M.mutual_exclusion ~header ~records ~domains ());
+        D.replay ~invariant:M.mutual_exclusion ~header ~records ~domains ());
   }
 
 let abp_runner ~buggy =
@@ -1274,6 +1215,7 @@ let abp_runner ~buggy =
       (if buggy then
          "alternating-bit over FIFO channels, receiver ignoring the bit"
        else "alternating-bit protocol over FIFO (TCP-like) channels");
+    default_depth = None;
     check =
       (fun params ->
         D.run
@@ -1309,6 +1251,7 @@ let pb_runner ~buggy =
       (if buggy then
          "primary-backup store acknowledging before replication"
        else "primary-backup store with fail-over reads");
+    default_depth = None;
     check =
       (fun params -> D.run ~invariant:P.read_your_writes params);
     hunt = None;
@@ -1339,6 +1282,7 @@ let pb_crash_runner =
     description =
       "primary-backup store losing acked writes on crash-recovery \
        (needs --crash-budget/--faults)";
+    default_depth = None;
     check = (fun params -> D.run ~invariant:P.read_your_writes params);
     hunt =
       Some
@@ -1363,7 +1307,16 @@ let pb_crash_runner =
    plan: [No_suspicion] is harmless until a reorder:/dup: storm ages
    live probes past the checker's widening bounds, and [Ack_race]
    needs a crash-with-recovery of the relay (live crash clauses plus
-   --crash-budget for the checker's own crash exploration). *)
+   --crash-budget for the checker's own crash exploration).
+
+   SWIM's timers make its state space endless, and with the pruned
+   default checker a 4-node run explores it fast enough to grow by tens
+   of megabytes a second, so [check] bounds it at [swim_default_depth]
+   unless -d says otherwise.  No bundled SWIM bug needs more: the
+   offline nosuspect violation is 4 events deep, the others need live
+   faults. *)
+let swim_default_depth = 4
+
 let swim_runner bug =
   let module P = Protocols.Swim.Make (struct
     let num_servers = 4
@@ -1387,6 +1340,7 @@ let swim_runner bug =
   {
     name;
     description;
+    default_depth = Some swim_default_depth;
     check = (fun params -> D.run ~invariant:P.membership_safety params);
     hunt =
       Some
@@ -1417,7 +1371,8 @@ let sym_flood_runner =
   let module D = Check_driver (F) in
   let invariant =
     Dsm.Invariant.for_all_pairs ~name:"bounded-progress-gap"
-      (fun _ a _ b ->
+      ~key:(fun _ s -> Some s)
+      ~conflict:(fun a b ->
         if abs (a - b) > 100 then
           Some (Printf.sprintf "progress gap %d" (abs (a - b)))
         else None)
@@ -1425,6 +1380,7 @@ let sym_flood_runner =
   {
     name = "sym-flood";
     description = "S3-symmetric ping-pong flood (symmetry-reduction demo)";
+    default_depth = None;
     check = (fun params -> D.run ~invariant params);
     hunt = None;
     lint =
@@ -2024,25 +1980,19 @@ let protocol_arg =
   Arg.(required & opt (some string) None & info [ "p"; "protocol" ] ~doc)
 
 let checker_arg =
-  let doc = "Checker: bdfs, lmc-gen, lmc-opt or lmc-auto." in
-  let parse = function
-    | "bdfs" -> Ok Bdfs
-    | "lmc-gen" -> Ok Lmc_gen
-    | "lmc-opt" -> Ok Lmc_opt
-    | "lmc-auto" -> Ok Lmc_auto
-    | s -> Error (`Msg (Printf.sprintf "unknown checker %S" s))
+  let doc =
+    "Checker: bdfs, lmc-gen (the full product of the node stores) or \
+     lmc-auto (pruned by the invariant's shape; lmc-opt is an alias)."
   in
-  let print ppf k =
-    Format.pp_print_string ppf
-      (match k with
-      | Bdfs -> "bdfs"
-      | Lmc_gen -> "lmc-gen"
-      | Lmc_opt -> "lmc-opt"
-      | Lmc_auto -> "lmc-auto")
+  let parse s =
+    match checker_of_name s with
+    | Some k -> Ok k
+    | None -> Error (`Msg (Printf.sprintf "unknown checker %S" s))
   in
+  let print ppf k = Format.pp_print_string ppf (checker_name k) in
   Arg.(
     value
-    & opt (conv (parse, print)) Lmc_opt
+    & opt (conv (parse, print)) Lmc_auto
     & info [ "c"; "checker" ] ~doc)
 
 let depth_arg =
@@ -2289,7 +2239,10 @@ let symmetry_arg =
   Arg.(value & opt sym_mode_conv Sym_off & info [ "symmetry" ] ~doc ~docv:"MODE")
 
 let check_cmd =
-  let doc = "Model-check a protocol offline from its initial state." in
+  let doc =
+    "Model-check a protocol offline from its initial state.  Without \
+     $(b,-d), the SWIM runners are bounded at depth 4."
+  in
   let run protocol checker max_depth time_limit crash_budget verbose minimize
       dot json metrics_out trace_out progress domains verify_domains symmetry
       record record_ring telemetry =
@@ -2298,6 +2251,9 @@ let check_cmd =
         prerr_endline e;
         2
     | Ok r ->
+        let max_depth =
+          match max_depth with None -> r.default_depth | d -> d
+        in
         let obs, finish =
           make_scope ~telemetry ?record ~metrics_out ~trace_out ~progress ()
         in
@@ -2890,7 +2846,7 @@ let swim_hunt ~name ~description ~bug ~protocol ~seed ~plan ~drop
           }
         in
         let outcome =
-          O.run config ~strategy:O.Checker.General
+          O.run config ~strategy:O.Checker.Automatic
             ~invariant:P.membership_safety
         in
         let fleet = popcount outcome.O.membership in

@@ -9,8 +9,8 @@
    Setup mirrors the paper: three nodes, each proposing its own
    identity then sleeping, over a lossy link that drops 30% of
    non-loopback messages; the online framework snapshots the live
-   system periodically and restarts LMC (with the Paxos-specific
-   LMC-OPT strategy) from each snapshot.  The live deployment keeps
+   system periodically and restarts LMC (with the [Automatic] strategy,
+   pruned by the safety invariant's key) from each snapshot.  The live deployment keeps
    proposing for fresh indices; the checker-side test driver focuses on
    contended indices only, per §4.2.  The installed invariant is the
    original Paxos invariant: no two nodes choose different values. *)
@@ -60,13 +60,12 @@ let () =
       store = None;
     }
   in
-  let strategy =
-    Online.Checker.Invariant_specific
-      { abstract = Check.abstraction; conflict = Check.conflicts }
-  in
   Format.printf
-    "Hunting the §5.5 Paxos bug online (3 nodes, 30%% drop, LMC-OPT)...@.@.";
-  let outcome = Online.run config ~strategy ~invariant:Check.safety in
+    "Hunting the §5.5 Paxos bug online (3 nodes, 30%% drop, LMC-auto)...@.@.";
+  let outcome =
+    Online.run config ~strategy:Online.Checker.Automatic
+      ~invariant:Check.safety
+  in
   match outcome.report with
   | None ->
       Format.printf "no violation found within %.0f simulated seconds@."

@@ -66,14 +66,13 @@ let () =
       store = None;
     }
   in
-  let strategy =
-    Online.Checker.Invariant_specific
-      { abstract = Onepaxos.abstraction; conflict = Onepaxos.conflicts }
-  in
   Format.printf
     "Hunting the §5.6 1Paxos bug online (3 nodes, fault detector, \
-     LMC-OPT)...@.@.";
-  let outcome = Online.run config ~strategy ~invariant:Onepaxos.safety in
+     LMC-auto)...@.@.";
+  let outcome =
+    Online.run config ~strategy:Online.Checker.Automatic
+      ~invariant:Onepaxos.safety
+  in
   match outcome.report with
   | None ->
       Format.printf "no violation found within %.0f simulated seconds@."

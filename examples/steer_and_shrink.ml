@@ -63,9 +63,7 @@ let config ~steer =
     store = None;
   }
 
-let strategy =
-  Online_op.Checker.Invariant_specific
-    { abstract = OP.abstraction; conflict = OP.conflicts }
+let strategy = Online_op.Checker.Automatic
 
 let () =
   Format.printf "== 1. detection (plain online checking) ==@.";

@@ -17,13 +17,20 @@ module Make (P : Dsm.Protocol.S) = struct
   module Vec = Dsm.Vec
   module Trace = Dsm.Trace
 
-  type 'k strategy =
-    | General
-    | Invariant_specific of {
-        abstract : P.state -> 'k option;
-        conflict : 'k -> 'k -> bool;
+  type strategy = General | Automatic
+
+  (* How combinations are seeded, unpacked once per run from the
+     strategy and the invariant's shape.  A keyed entry's key is
+     computed once, when the entry is created; a keyless entry never
+     seeds a combination. *)
+  type 'k prune =
+    | Full  (* [General], or an invariant of no known shape *)
+    | Nodewise of (Dsm.Node_id.t -> P.state -> 'k option)
+        (* keyed iff the state violates on its own *)
+    | Pairwise of {
+        key : Dsm.Node_id.t -> P.state -> 'k option;
+        conflict : 'k -> 'k -> string option;
       }
-    | Automatic
 
   type config = {
     max_depth : int option;
@@ -294,7 +301,7 @@ module Make (P : Dsm.Protocol.S) = struct
            is exactly the cost the sampling exists to avoid. *)
     act_lbl : (P.action, string) Hashtbl.t;
         (* rendered action labels, cached like [net_entry.lbl] *)
-    strategy : 'k strategy;
+    prune : 'k prune;
     invariant : P.state Dsm.Invariant.t;
     stores : 'k entry Vec.t array;
     generation : int array;
@@ -307,7 +314,9 @@ module Make (P : Dsm.Protocol.S) = struct
     crash_cursor : int array;  (* states already expanded for crashes *)
     net : net_entry Vec.t;
     net_by_fp : (Fingerprint.t, int) Hashtbl.t;
-    seen_combos : (Fingerprint.t, unit) Hashtbl.t;
+    seeds : 'k entry array Vec.t;
+        (* the entries each [Automatic] seed pinned: one violating
+           entry, or a conflicting pair *)
     reduce : bool;  (* [config.symmetry] is non-trivial *)
     orbit_clean : (Fingerprint.t, unit) Hashtbl.t;
         (* canonical (least slot-permuted) fingerprints of combinations
@@ -592,10 +601,20 @@ module Make (P : Dsm.Protocol.S) = struct
       raise Stop
     end
 
-  let abstract_key t state =
-    match t.strategy with
-    | General | Automatic -> None
-    | Invariant_specific { abstract; _ } -> abstract state
+  let entry_key t node state =
+    match t.prune with
+    | Full -> None
+    | Nodewise key | Pairwise { key; _ } -> key node state
+
+  (* Whether two keyed entries of distinct nodes can violate a pairwise
+     invariant together; the lower node id goes first, as in
+     {!Dsm.Invariant.for_all_pairs}'s check. *)
+  let keys_conflict conflict (a : 'k entry) (b : 'k entry) =
+    match (a.key, b.key) with
+    | Some ka, Some kb ->
+        Option.is_some
+          (if a.node < b.node then conflict ka kb else conflict kb ka)
+    | _ -> false
 
   let depth_allows t d =
     match t.config.max_depth with Some bound -> d <= bound | None -> true
@@ -1188,105 +1207,155 @@ module Make (P : Dsm.Protocol.S) = struct
     | Some pool when Vec.length t.combo_buf > 0 -> flush_combos t pool
     | _ -> ()
 
-  let general_combos t (new_entry : 'k entry) =
-    let candidates =
-      Array.init P.num_nodes (fun k ->
-          if k = new_entry.node then [| new_entry |]
-          else Vec.to_array t.stores.(k))
+  let stopped t = t.sound_violation <> None && t.config.stop_on_violation
+
+  (* Submit every tuple [keep] accepts that holds [pin.(n)] at each
+     pinned node [n] and any stored state elsewhere, in the node-major
+     order of {!Combination.iter}.  The stores cannot grow while the
+     tuples are submitted, so they are read in place. *)
+  let pinned_combos ?(keep = fun _ -> true) t (pin : 'k entry option array) =
+    let tuple = Array.map (fun store -> Vec.get store 0) t.stores in
+    let rec fill i =
+      if i = P.num_nodes then begin
+        if keep tuple then submit_combo t tuple;
+        if stopped t then raise Exit
+      end
+      else
+        match pin.(i) with
+        | Some e ->
+            tuple.(i) <- e;
+            fill (i + 1)
+        | None ->
+            let store = t.stores.(i) in
+            for j = 0 to Vec.length store - 1 do
+              tuple.(i) <- Vec.get store j;
+              fill (i + 1)
+            done
     in
-    ignore
-      (Combination.iter candidates (fun tuple ->
-           submit_combo t tuple;
-           if t.sound_violation <> None && t.config.stop_on_violation then
-             `Stop
-           else `Continue))
+    try fill 0 with Exit -> ()
 
-  (* LMC-OPT: "we select only the node states that at least two of them
-     are mapped to different values" — pin a conflicting pair (the new
-     state plus one conflicting state of another node) and complete the
-     system state from the full stores of the remaining nodes.  States
-     that map to [None] never seed a combination, which is why a
-     bug-free run creates no system states at all. *)
+  (* Whether [e] conflicts with a component of [tuple] at a node other
+     than its own, below node [until]. *)
+  let conflicts_below conflict (e : 'k entry) (tuple : 'k entry array) until =
+    let rec go m =
+      m < until
+      && ((m <> e.node && keys_conflict conflict e tuple.(m)) || go (m + 1))
+    in
+    go 0
 
-  (* Pin [new_entry] together with each partner the filter accepts and
-     complete the system state from the remaining nodes' full stores. *)
-  let pinned_pair_combos t (new_entry : 'k entry) ~partner =
-    try
-      for m = 0 to P.num_nodes - 1 do
-        if m <> new_entry.node then
-          Vec.iteri
-            (fun _ (other : 'k entry) ->
-              if partner m other then begin
-                let candidates =
-                  Array.init P.num_nodes (fun j ->
-                      if j = new_entry.node then [| new_entry |]
-                      else if j = m then [| other |]
-                      else Vec.to_array t.stores.(j))
-                in
-                ignore
-                  (Combination.iter candidates (fun tuple ->
-                       let cfp = tuple_fp tuple in
-                       if not (Hashtbl.mem t.seen_combos cfp) then begin
-                         Hashtbl.replace t.seen_combos cfp ();
-                         submit_combo t tuple
-                       end;
-                       if
-                         t.sound_violation <> None
-                         && t.config.stop_on_violation
-                       then `Stop
-                       else `Continue));
-                if t.sound_violation <> None && t.config.stop_on_violation
-                then raise Exit
-              end)
-            t.stores.(m)
-      done
-    with Exit -> ()
-
-  let opt_combos t conflict (new_entry : 'k entry) =
-    match new_entry.key with
-    | None -> ()
-    | Some k ->
-        pinned_pair_combos t new_entry ~partner:(fun _ (other : 'k entry) ->
-            match other.key with Some k' -> conflict k k' | None -> false)
+  (* The seed that owns [tuple] when its newest component does not
+     seed it: its first violating component, or its first conflicting
+     pair, in node order. *)
+  let owned t (seed : 'k entry array) (tuple : 'k entry array) =
+    match t.prune with
+    | Full -> true
+    | Nodewise _ ->
+        let rec first i =
+          if Option.is_some tuple.(i).key then i else first (i + 1)
+        in
+        first 0 = seed.(0).node
+    | Pairwise { conflict; _ } ->
+        let n = Array.length tuple in
+        let rec first i j =
+          if j >= n then first (i + 1) (i + 2)
+          else if keys_conflict conflict tuple.(i) tuple.(j) then (i, j)
+          else first i (j + 1)
+        in
+        let a = seed.(0).node and b = seed.(1).node in
+        first 0 1 = (min a b, max a b)
 
   (* The paper's future-work pruning, derived from the invariant's
-     shape: a pairwise invariant needs a violating pair in the
-     combination, a node-local one needs the new component itself to
-     violate.  Anything else falls back to the general product. *)
-  let auto_combos t (new_entry : 'k entry) =
-    match Dsm.Invariant.pairwise_witness t.invariant with
-    | Some pair ->
-        pinned_pair_combos t new_entry ~partner:(fun m (other : 'k entry) ->
-            pair new_entry.node new_entry.state m other.state)
-    | None -> (
-        match Dsm.Invariant.nodewise_witness t.invariant with
-        | Some local ->
-            if local new_entry.node new_entry.state then
-              general_combos t new_entry
-        | None -> general_combos t new_entry)
+     shape: a pairwise invariant needs a conflicting pair in the
+     combination, a node-local one a violating component.  Every such
+     pair or component is a seed, and every combination holding a seed
+     is built exactly once, when its newest component is created — the
+     moment [General] builds it, so both strategies judge it against
+     the same predecessor DAGs, and a budget-truncated run has checked
+     the same violating combinations under either.
+
+     A new entry first seeds the combinations it completes a pair or a
+     violating component in — for a pairwise key, LMC-OPT's "we select
+     only the node states that at least two of them are mapped to
+     different values"; a combination in which it conflicts with
+     several partners goes to the first in node order.  Then it
+     completes every older seed at other nodes with the combinations it
+     is the newest component of and seeds nothing in, each under the
+     seed that {!owned} it.  A bug-free Paxos run has no seeds, and so
+     creates no system states at all. *)
+  let seed_combos t (e : 'k entry) =
+    let pin = Array.make P.num_nodes None in
+    pin.(e.node) <- Some e;
+    let pinned seed ~keep =
+      Array.iter (fun (s : 'k entry) -> pin.(s.node) <- Some s) seed;
+      pinned_combos t pin ~keep;
+      Array.iter
+        (fun (s : 'k entry) -> if s != e then pin.(s.node) <- None)
+        seed
+    in
+    let complete ~fresh older =
+      let rec go i =
+        if i < older && not (stopped t) then begin
+          let seed = Vec.get t.seeds i in
+          if Array.for_all (fun (s : 'k entry) -> s.node <> e.node) seed
+          then
+            pinned seed ~keep:(fun tuple ->
+                (not (fresh tuple)) && owned t seed tuple);
+          go (i + 1)
+        end
+      in
+      go 0
+    in
+    match (t.prune, e.key) with
+    | Full, _ -> pinned_combos t pin
+    | Nodewise _, Some _ ->
+        ignore (Vec.push t.seeds [| e |]);
+        pinned_combos t pin
+    | Nodewise _, None ->
+        complete ~fresh:(fun _ -> false) (Vec.length t.seeds)
+    | Pairwise { conflict; _ }, _ ->
+        let older = Vec.length t.seeds in
+        (if Option.is_some e.key then
+           (* the partner scan is the hot loop of a keyed run *)
+           try
+             for m = 0 to P.num_nodes - 1 do
+               if m <> e.node then
+                 Vec.iteri
+                   (fun _ (other : 'k entry) ->
+                     if keys_conflict conflict e other then begin
+                       let pair = [| e; other |] in
+                       ignore (Vec.push t.seeds pair);
+                       pinned pair ~keep:(fun tuple ->
+                           not (conflicts_below conflict e tuple m));
+                       if stopped t then raise Exit
+                     end)
+                   t.stores.(m)
+             done
+           with Exit -> ());
+        complete older ~fresh:(fun tuple ->
+            conflicts_below conflict e tuple P.num_nodes)
+
+  (* Time [f] as system-state creation, net of the soundness checks it
+     triggers. *)
+  let combination_phase t f =
+    let t0 = now () in
+    let soundness_before = t.soundness_time in
+    Obs.frame t.o.scope "combination" (fun () ->
+        Fun.protect
+          ~finally:(fun () ->
+            let phase = now () -. t0 in
+            t.system_state_time <-
+              t.system_state_time +. phase
+              -. (t.soundness_time -. soundness_before))
+          (fun () ->
+            f ();
+            (* Verdicts land before any later node state is created,
+               so the pooled path interleaves exactly like the inline
+               one. *)
+            drain_combos t))
 
   let check_system_invariant t (new_entry : 'k entry) =
-    if t.config.create_system_states then begin
-      let t0 = now () in
-      let soundness_before = t.soundness_time in
-      Obs.frame t.o.scope "combination" (fun () ->
-          Fun.protect
-            ~finally:(fun () ->
-              let phase = now () -. t0 in
-              t.system_state_time <-
-                t.system_state_time +. phase
-                -. (t.soundness_time -. soundness_before))
-            (fun () ->
-              (match t.strategy with
-              | General -> general_combos t new_entry
-              | Invariant_specific { conflict; _ } ->
-                  opt_combos t conflict new_entry
-              | Automatic -> auto_combos t new_entry);
-              (* Verdicts land before any later node state is created,
-                 so the pooled path interleaves exactly like the
-                 inline one. *)
-              drain_combos t))
-    end
+    if t.config.create_system_states then
+      combination_phase t (fun () -> seed_combos t new_entry)
 
   (* ----- exploration (findBugs main loop, Fig. 9) ----- *)
 
@@ -1318,7 +1387,7 @@ module Make (P : Dsm.Protocol.S) = struct
             depth;
             local_count;
             crashes;
-            key = abstract_key t state;
+            key = entry_key t node state;
             preds = [ pred ];
             fp_hex = None;
             summary = None;
@@ -1873,46 +1942,29 @@ module Make (P : Dsm.Protocol.S) = struct
               pending)
     end
 
-  let check_initial t snapshot =
-    if not t.config.create_system_states then ignore snapshot
-    else
-    match t.strategy with
-    | General ->
-        let tuple = Array.init P.num_nodes (fun n -> Vec.get t.stores.(n) 0) in
-        consider_combo t tuple
-    | Invariant_specific { conflict; _ } ->
-        for i = 0 to P.num_nodes - 1 do
-          for j = i + 1 to P.num_nodes - 1 do
-            let ei = Vec.get t.stores.(i) 0 and ej = Vec.get t.stores.(j) 0 in
-            match (ei.key, ej.key) with
-            | Some ki, Some kj when conflict ki kj ->
-                let tuple =
-                  Array.init P.num_nodes (fun n -> Vec.get t.stores.(n) 0)
-                in
-                consider_combo t tuple
-            | _ -> ()
-          done
-        done;
-        ignore snapshot
-    | Automatic ->
-        let roots = Array.init P.num_nodes (fun n -> Vec.get t.stores.(n) 0) in
-        let fire =
-          match Dsm.Invariant.pairwise_witness t.invariant with
-          | Some pair ->
-              let hit = ref false in
-              for i = 0 to P.num_nodes - 1 do
-                for j = i + 1 to P.num_nodes - 1 do
-                  if pair i roots.(i).state j roots.(j).state then hit := true
-                done
-              done;
-              !hit
-          | None -> (
-              match Dsm.Invariant.nodewise_witness t.invariant with
-              | Some local ->
-                  Array.exists (fun (e : 'k entry) -> local e.node e.state) roots
-              | None -> true)
-        in
-        if fire then consider_combo t roots
+  (* The roots seed like new entries do, all at once. *)
+  let check_initial t =
+    let roots = Array.init P.num_nodes (fun n -> Vec.get t.stores.(n) 0) in
+    let seed pinned = ignore (Vec.push t.seeds pinned) in
+    (match t.prune with
+    | Full -> ()
+    | Nodewise _ ->
+        Array.iter
+          (fun (e : 'k entry) -> if Option.is_some e.key then seed [| e |])
+          roots
+    | Pairwise { conflict; _ } ->
+        Array.iter
+          (fun (a : 'k entry) ->
+            Array.iter
+              (fun (b : 'k entry) ->
+                if a.node < b.node && keys_conflict conflict a b then
+                  seed [| a; b |])
+              roots)
+          roots);
+    let fire =
+      match t.prune with Full -> true | _ -> Vec.length t.seeds > 0
+    in
+    if t.config.create_system_states && fire then consider_combo t roots
 
   let retained_bytes t =
     let entry_bytes acc (e : 'k entry) =
@@ -1939,7 +1991,7 @@ module Make (P : Dsm.Protocol.S) = struct
     in
     stores_bytes + net_bytes
 
-  let exec config ~strategy ~invariant snapshot pool =
+  let exec config ~prune ~invariant snapshot pool =
     let tracing = Obs.Trace.enabled config.trace in
     let t =
       {
@@ -1959,7 +2011,7 @@ module Make (P : Dsm.Protocol.S) = struct
         ph_invariant_us = Atomic.make 0;
         timed_tick = 0;
         act_lbl = Hashtbl.create 64;
-        strategy;
+        prune;
         invariant;
         stores = Array.init P.num_nodes (fun _ -> Vec.create ());
         generation = Array.make P.num_nodes 0;
@@ -1968,7 +2020,7 @@ module Make (P : Dsm.Protocol.S) = struct
         crash_cursor = Array.make P.num_nodes 0;
         net = Vec.create ();
         net_by_fp = Hashtbl.create 256;
-        seen_combos = Hashtbl.create 256;
+        seeds = Vec.create ();
         reduce = not (Dsm.Symmetry.is_trivial config.symmetry);
         orbit_clean = Hashtbl.create 4096;
         rejected = Vec.create ();
@@ -2010,7 +2062,7 @@ module Make (P : Dsm.Protocol.S) = struct
             depth = 0;
             local_count = 0;
             crashes = 0;
-            key = abstract_key t state;
+            key = entry_key t n state;
             preds = [];
             fp_hex = None;
             summary = None;
@@ -2045,7 +2097,7 @@ module Make (P : Dsm.Protocol.S) = struct
            ]);
     (try
        Obs.frame t.o.scope "lmc" @@ fun () ->
-       check_initial t snapshot;
+       check_initial t;
        if not (t.config.stop_on_violation && t.sound_violation <> None) then begin
          let rounds = ref 0 in
          let continue = ref true in
@@ -2170,13 +2222,21 @@ module Make (P : Dsm.Protocol.S) = struct
     | Some p when Array.length p.p_nodes <> P.num_nodes ->
         invalid_arg "Checker.run: persist has wrong node count"
     | _ -> ());
-    match config.pool with
-    | Some _ as pool ->
-        (* Caller-owned pool (e.g. Online_mc sharing one across
-           restarts): borrow it, never shut it down. *)
-        exec config ~strategy ~invariant snapshot pool
-    | None when config.domains > 1 ->
-        Par.Pool.with_pool ~obs:config.obs config.domains (fun pool ->
-            exec config ~strategy ~invariant snapshot (Some pool))
-    | None -> exec config ~strategy ~invariant snapshot None
+    let exec prune =
+      match config.pool with
+      | Some _ as pool ->
+          (* Caller-owned pool (e.g. Online_mc sharing one across
+             restarts): borrow it, never shut it down. *)
+          exec config ~prune ~invariant snapshot pool
+      | None when config.domains > 1 ->
+          Par.Pool.with_pool ~obs:config.obs config.domains (fun pool ->
+              exec config ~prune ~invariant snapshot (Some pool))
+      | None -> exec config ~prune ~invariant snapshot None
+    in
+    match (strategy, Dsm.Invariant.shape invariant) with
+    | General, _ | Automatic, Opaque -> exec Full
+    | Automatic, Nodewise local ->
+        exec (Nodewise (fun n s -> if local n s then Some () else None))
+    | Automatic, Pairwise { key; conflict } ->
+        exec (Pairwise { key; conflict })
 end

@@ -14,14 +14,16 @@
     violation — it may be unreachable — and is confirmed by
     {!Soundness} before being reported.
 
-    Two system-state creation strategies mirror the paper's variants:
+    Two system-state creation strategies:
     {ul
-    {- [General] (LMC-GEN): the full product of the stores;}
-    {- [Invariant_specific] (LMC-OPT): node states are mapped through a
-       user abstraction (for Paxos: the values chosen so far) and
-       combinations are built only when two node states conflict under
-       that abstraction; states that map to [None] are never combined
-       at all.}} *)
+    {- [General] (LMC-GEN, the paper's Fig. 10 baseline): the full
+       product of the stores;}
+    {- [Automatic]: the pruning is read off the invariant's
+       {!Dsm.Invariant.shape}, in place of the paper's hand-written
+       LMC-OPT abstraction.  A {!Dsm.Invariant.for_all_pairs}
+       invariant's key plays that abstraction's role: combinations are
+       built only around two node states whose keys conflict, and a
+       state with no key is never combined at all.}} *)
 
 (** Cross-restart persistence, built from {!Store.Checkpoint} stores.
     Not parameterised by the protocol, so the online supervisor builds
@@ -39,23 +41,21 @@ type persist = {
 
 module Make (P : Dsm.Protocol.S) : sig
   (** How system states are created for invariant checking. *)
-  type 'k strategy =
+  type strategy =
     | General
-    | Invariant_specific of {
-        abstract : P.state -> 'k option;
-            (** [None] means the state can never contribute to a
-                violation and is skipped entirely *)
-        conflict : 'k -> 'k -> bool;
-            (** whether two abstractions can violate the invariant
-                together *)
-      }
     | Automatic
         (** derive the pruning from the invariant's shape — the paper's
-            future-work idea made concrete.  Invariants built with
-            {!Dsm.Invariant.for_all_pairs} only seed combinations
-            containing a violating pair; {!Dsm.Invariant.for_all_nodes}
-            ones only when the new node state itself violates; anything
-            else falls back to [General]. *)
+            future-work idea made concrete.  A new node state seeds
+            combinations only if it has a key: for
+            {!Dsm.Invariant.for_all_pairs}, with each partner whose key
+            conflicts with it; for {!Dsm.Invariant.for_all_nodes}, when
+            it violates on its own.  A combination holding such a seed
+            is built when its newest component is created, keyed or
+            not — when [General] builds it — so [Automatic] checks
+            every combination [General] checks that can violate, at
+            the same point of exploration, whether the run completes
+            or a budget cuts it short.  An opaque invariant falls back
+            to [General]. *)
 
   type config = {
     max_depth : int option;
@@ -269,7 +269,7 @@ module Make (P : Dsm.Protocol.S) : sig
       [I+] starts empty, as in Fig. 9 line 2. *)
   val run :
     config ->
-    strategy:'k strategy ->
+    strategy:strategy ->
     invariant:P.state Dsm.Invariant.t ->
     P.state array ->
     result

@@ -4,7 +4,15 @@
     identifier — the paper's [L] — with the network deliberately
     absent: "the invariants are typically specified only on the system
     states, i.e., the invariants do not involve the network states"
-    (section 1). *)
+    (section 1).
+
+    The paper prunes system states through a hand-written abstraction
+    per protocol (LMC-OPT, §4.2) and leaves "methods to automatically
+    prune the system states according to a given invariant" as future
+    work.  Here the invariant is the only place that pruning is
+    defined: {!for_all_nodes} and {!for_all_pairs} record their
+    {!shape}, and the local checker's [Automatic] strategy creates only
+    the combinations that shape says can violate. *)
 
 type violation = { invariant : string; detail : string }
 
@@ -17,10 +25,12 @@ val name : 'state t -> string
 val check : 'state t -> 'state array -> violation option
 
 (** [make ~name f] builds an invariant from a checker returning
-    [Some detail] on violation. *)
+    [Some detail] on violation.  Its shape is {!Opaque}. *)
 val make : name:string -> ('state array -> string option) -> 'state t
 
-(** Conjunction: first violation wins. *)
+(** Conjunction: first violation wins.  All-{!Nodewise} conjuncts stay
+    nodewise, all-{!Pairwise} ones stay pairwise (keyed by the tuple of
+    their keys); any other mix is {!Opaque}. *)
 val conj : 'state t list -> 'state t
 
 (** [for_all_nodes ~name f] holds when [f node state] is [None] for
@@ -29,32 +39,35 @@ val conj : 'state t list -> 'state t
 val for_all_nodes :
   name:string -> (Node_id.t -> 'state -> string option) -> 'state t
 
-(** [for_all_pairs ~name f] checks [f] on every unordered pair of
-    distinct nodes — the shape of agreement invariants such as Paxos
-    safety. *)
+(** [for_all_pairs ~name ~key ~conflict] holds when no two nodes
+    [i < j] have keys [Some ki], [Some kj] with [conflict ki kj =
+    Some detail] — the shape of agreement invariants such as Paxos
+    safety.  [key] projects a node state onto what the invariant
+    compares (for Paxos: the values chosen so far); [None] means the
+    state can never be in a violating pair, so the checker never
+    combines it.  The check and the pruning both derive from this one
+    definition. *)
 val for_all_pairs :
   name:string ->
-  (Node_id.t -> 'state -> Node_id.t -> 'state -> string option) ->
+  key:(Node_id.t -> 'state -> 'k option) ->
+  conflict:('k -> 'k -> string option) ->
   'state t
 
 val pp_violation : Format.formatter -> violation -> unit
 
-(** {2 Shape introspection}
+(** {2 Shape introspection} *)
 
-    The paper's concluding remarks propose "methods to automatically
-    prune the system states according to a given invariant" as future
-    work.  The combinators above record enough structure to do it: a
-    {!for_all_nodes} invariant can only be violated by a combination
-    whose new component violates it locally, and a {!for_all_pairs}
-    invariant only by one containing a violating pair.  The local
-    checker's [Automatic] strategy uses these witnesses to skip every
-    other combination. *)
+type 'state shape =
+  | Opaque  (** no known structure: every combination may violate *)
+  | Nodewise of (Node_id.t -> 'state -> bool)
+      (** a combination violates only if some component violates on
+          its own ({!for_all_nodes}) *)
+  | Pairwise : {
+      key : Node_id.t -> 'state -> 'k option;
+      conflict : 'k -> 'k -> string option;
+    }
+      -> 'state shape
+      (** a combination violates only if two keyed components conflict,
+          lower node id first ({!for_all_pairs}) *)
 
-(** For invariants built with {!for_all_nodes}: does this single node
-    state violate it? *)
-val nodewise_witness : 'state t -> (Node_id.t -> 'state -> bool) option
-
-(** For invariants built with {!for_all_pairs}: can these two node
-    states (in either role order) violate it? *)
-val pairwise_witness :
-  'state t -> (Node_id.t -> 'state -> Node_id.t -> 'state -> bool) option
+val shape : 'state t -> 'state shape

@@ -1,9 +1,6 @@
 (* Process-level stats for telemetry: resident set size from
    /proc/self/statm (0 where procfs is unavailable) and a compact view
-   of the GC counters.  lib/store has its own RSS reader, but the
-   dependency points the other way (store depends on obs), so the
-   few-line parser is duplicated here rather than inverting the
-   layering. *)
+   of the GC counters. *)
 
 let page_size = 4096
 

@@ -320,11 +320,10 @@ struct
             Obs.Metrics.set
               (Obs.gauge obs "online.store_hit_rate")
               (float_of_int !hits_total /. float_of_int considered);
-          (match Store.Rss.sample_bytes () with
-          | Some b ->
-              Obs.Metrics.set (Obs.gauge obs "online.rss_bytes")
-                (float_of_int b)
-          | None -> ())
+          let rss = Obs.Procstat.rss_bytes () in
+          if rss > 0 then
+            Obs.Metrics.set (Obs.gauge obs "online.rss_bytes")
+              (float_of_int rss)
     in
     (* Graceful degradation tiers: 1 halves the depth bound, 2 drops
        LMC-GEN to the invariant-pruned Automatic strategy, 3 defers
@@ -370,8 +369,8 @@ struct
       let jitter = 0.5 +. Sim.Rng.float jitter_rng in
       Unix.sleepf (float_of_int ms /. 1000. *. jitter)
     in
-    (* An exception out of [Checker.run] (a throwing invariant closure,
-       an abstraction function that raises, a dead pool worker) is
+    (* An exception out of [Checker.run] (a throwing invariant or key
+       closure, an invalid config, a dead pool worker) is
        retried with jittered exponential backoff; after [max_retries]
        the restart is abandoned and the loop degrades instead. *)
     let supervised_run cfg snapshot =

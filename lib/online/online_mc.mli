@@ -176,7 +176,7 @@ module Make
   val run :
     ?obs:Obs.scope ->
     config ->
-    strategy:'k Checker.strategy ->
+    strategy:Checker.strategy ->
     invariant:Live.state Dsm.Invariant.t ->
     outcome
 

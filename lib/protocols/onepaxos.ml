@@ -276,25 +276,7 @@ module Make (C : CONFIG) = struct
     | Propose { idx } -> Format.fprintf ppf "propose1(i=%d)" idx
 
   let safety =
-    Dsm.Invariant.for_all_pairs ~name:"1paxos-safety" (fun _ a _ b ->
-        let rec scan = function
-          | [] -> None
-          | (idx, va) :: rest -> (
-              match List.assoc_opt idx b.chosen with
-              | Some vb when vb <> va ->
-                  Some
-                    (Printf.sprintf
-                       "index %d chosen as %d by one node, %d by another" idx
-                       va vb)
-              | _ -> scan rest)
-        in
-        scan a.chosen)
-
-  let abstraction s = match s.chosen with [] -> None | kvs -> Some kvs
-
-  let conflicts a b =
-    List.exists
-      (fun (idx, va) ->
-        match List.assoc_opt idx b with Some vb -> vb <> va | None -> false)
-      a
+    Dsm.Invariant.for_all_pairs ~name:"1paxos-safety"
+      ~key:(fun _ s -> match s.chosen with [] -> None | kvs -> Some kvs)
+      ~conflict:Paxos_core.disagreement
 end

@@ -89,11 +89,7 @@ module Make (C : CONFIG) : sig
        and type action = op_action
 
   (** Paxos safety over the 1Paxos log: no index chosen with different
-      values at two nodes. *)
+      values at two nodes.  Pairwise, keyed by the chosen (index, value)
+      pairs. *)
   val safety : op_state Dsm.Invariant.t
-
-  (** LMC-OPT abstraction: the chosen (index, value) pairs. *)
-  val abstraction : op_state -> (int * int) list option
-
-  val conflicts : (int * int) list -> (int * int) list -> bool
 end

@@ -106,17 +106,8 @@ module Make (C : CONFIG) = struct
     | Propose { idx } -> Format.fprintf ppf "propose(i=%d)" idx
 
   let safety =
-    Dsm.Invariant.for_all_pairs ~name:"paxos-safety" (fun _ a _ b ->
-        Paxos_core.disagreement a.core b.core)
-
-  let abstraction s =
-    match Paxos_core.chosen_all s.core with [] -> None | kvs -> Some kvs
-
-  let conflicts a b =
-    List.exists
-      (fun (idx, va) ->
-        match List.assoc_opt idx b with
-        | Some vb -> vb <> va
-        | None -> false)
-      a
+    Dsm.Invariant.for_all_pairs ~name:"paxos-safety"
+      ~key:(fun _ s ->
+        match Paxos_core.chosen_all s.core with [] -> None | kvs -> Some kvs)
+      ~conflict:Paxos_core.disagreement
 end

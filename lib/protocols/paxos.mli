@@ -48,15 +48,8 @@ module Make (C : CONFIG) : sig
        and type action = paxos_action
 
   (** The Paxos safety property: "no two nodes will choose different
-      values for the same index". *)
+      values for the same index".  Pairwise, keyed by the values a node
+      has chosen (§4.2's LMC-OPT abstraction): a state that has chosen
+      nothing is never combined. *)
   val safety : paxos_state Dsm.Invariant.t
-
-  (** LMC-OPT abstraction (§4.2): map each node state to the values it
-      has chosen; most states map to [None] and are never combined. *)
-  val abstraction : paxos_state -> (int * Paxos_core.value) list option
-
-  (** Two abstractions conflict iff some index is chosen with different
-      values. *)
-  val conflicts :
-    (int * Paxos_core.value) list -> (int * Paxos_core.value) list -> bool
 end

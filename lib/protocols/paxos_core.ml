@@ -221,13 +221,13 @@ let disagreement a b =
   let rec scan = function
     | [] -> None
     | (idx, va) :: rest -> (
-        match chosen b idx with
+        match List.assoc_opt idx b with
         | Some vb when vb <> va ->
             Some
               (Printf.sprintf "index %d chosen as %d by one node, %d by another"
                  idx va vb)
         | _ -> scan rest)
   in
-  scan (chosen_all a)
+  scan a
 
 let learns state idx = (slot state idx).lrn.learns

@@ -43,7 +43,7 @@ val attempts : state -> int -> int
 val chosen : state -> int -> value option
 
 (** All (index, value) pairs chosen by this node's learner, sorted by
-    index.  The abstraction LMC-OPT maps node states through. *)
+    index.  The key Paxos safety compares node states by. *)
 val chosen_all : state -> (int * value) list
 
 (** [has_accepted state idx] tells whether this node's acceptor has
@@ -84,9 +84,10 @@ val handle :
 val pp_state : Format.formatter -> state -> unit
 val pp_message : Format.formatter -> message -> unit
 
-(** Agreement across two nodes: no index chosen with different values.
-    Returns a human-readable description of the first disagreement. *)
-val disagreement : state -> state -> string option
+(** Agreement across two nodes' chosen (index, value) pairs, as from
+    {!chosen_all}: no index chosen with different values.  Returns a
+    human-readable description of the first disagreement. *)
+val disagreement : (int * value) list -> (int * value) list -> string option
 
 (** Learner records for [idx]: [((acceptor, round), value)] votes seen
     so far.  Introspection for tests and debugging. *)

@@ -84,15 +84,11 @@ module Make (C : CONFIG) = struct
   let pp_action ppf () = Format.pp_print_string ppf "wake"
 
   let agreement =
-    Dsm.Invariant.for_all_pairs ~name:"election-agreement" (fun _ a _ b ->
-        match (a.leader, b.leader) with
-        | Some la, Some lb when la <> lb ->
-            Some
-              (Printf.sprintf "one node follows N%d, another follows N%d" la
-                 lb)
-        | _ -> None)
-
-  let abstraction s = s.leader
-
-  let conflicts a b = a <> b
+    Dsm.Invariant.for_all_pairs ~name:"election-agreement"
+      ~key:(fun _ s -> s.leader)
+      ~conflict:(fun la lb ->
+        if la <> lb then
+          Some
+            (Printf.sprintf "one node follows N%d, another follows N%d" la lb)
+        else None)
 end

@@ -41,11 +41,7 @@ module Make (_ : CONFIG) : sig
        and type message = re_message
        and type action = unit
 
-  (** No two nodes ever believe in different leaders. *)
+  (** No two nodes ever believe in different leaders.  Pairwise, keyed
+      by the believed leader, if any. *)
   val agreement : re_state Dsm.Invariant.t
-
-  (** LMC-OPT abstraction: the believed leader, if any. *)
-  val abstraction : re_state -> int option
-
-  val conflicts : int -> int -> bool
 end

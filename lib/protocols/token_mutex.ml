@@ -118,12 +118,7 @@ module Make (C : CONFIG) = struct
     | Regenerate -> Format.pp_print_string ppf "regenerate-token"
 
   let mutual_exclusion =
-    Dsm.Invariant.for_all_pairs ~name:"mutual-exclusion" (fun _ a _ b ->
-        if a.in_cs && b.in_cs then
-          Some "two nodes in the critical section"
-        else None)
-
-  let abstraction s = if s.in_cs then Some () else None
-
-  let conflicts () () = true
+    Dsm.Invariant.for_all_pairs ~name:"mutual-exclusion"
+      ~key:(fun _ s -> if s.in_cs then Some () else None)
+      ~conflict:(fun () () -> Some "two nodes in the critical section")
 end

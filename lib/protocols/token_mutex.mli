@@ -43,11 +43,7 @@ module Make (_ : CONFIG) : sig
        and type message = unit
        and type action = mutex_action
 
-  (** At most one node in the critical section. *)
+  (** At most one node in the critical section.  Pairwise, keyed by
+      being in it. *)
   val mutual_exclusion : mutex_state Dsm.Invariant.t
-
-  (** LMC-OPT abstraction: in the critical section or not. *)
-  val abstraction : mutex_state -> unit option
-
-  val conflicts : unit -> unit -> bool
 end

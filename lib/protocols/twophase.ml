@@ -155,24 +155,8 @@ module Make (C : CONFIG) = struct
       | P_idle | P_prepared -> None
 
   let atomicity =
-    Dsm.Invariant.for_all_pairs ~name:"2pc-atomicity" (fun i a j b ->
-        match (decision i a, decision j b) with
-        | Some `Committed, Some `Aborted | Some `Aborted, Some `Committed ->
-            Some "one node committed while another aborted"
-        | _ -> None)
-
-  (* The abstraction cannot distinguish the coordinator from the
-     participants, so it reads whichever role is live; both roles never
-     decide in one node except at the coordinator, whose participant
-     phase stays idle. *)
-  let abstraction s =
-    match (s.coord, s.part) with
-    | C_committed, _ | _, P_committed -> Some `Committed
-    | C_aborted, _ | _, P_aborted -> Some `Aborted
-    | _ -> None
-
-  let conflicts a b =
-    match (a, b) with
-    | `Committed, `Aborted | `Aborted, `Committed -> true
-    | _ -> false
+    Dsm.Invariant.for_all_pairs ~name:"2pc-atomicity" ~key:decision
+      ~conflict:(fun a b ->
+        if a <> b then Some "one node committed while another aborted"
+        else None)
 end

@@ -44,12 +44,8 @@ module Make (_ : CONFIG) : sig
        and type message = tpc_message
        and type action = unit
 
-  (** Atomicity: never one node committed and another aborted. *)
+  (** Atomicity: never one node committed and another aborted.
+      Pairwise, keyed by the node's decision in its own role (the
+      coordinator's or a participant's), if it made one. *)
   val atomicity : tpc_state Dsm.Invariant.t
-
-  (** LMC-OPT abstraction: the node's decision, if it made one. *)
-  val abstraction : tpc_state -> [ `Committed | `Aborted ] option
-
-  val conflicts :
-    [ `Committed | `Aborted ] -> [ `Committed | `Aborted ] -> bool
 end

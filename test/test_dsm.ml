@@ -191,8 +191,9 @@ let test_invariant_for_all_nodes () =
 
 let test_invariant_for_all_pairs () =
   let inv =
-    Dsm.Invariant.for_all_pairs ~name:"agree" (fun _ a _ b ->
-        if a <> b then Some "disagree" else None)
+    Dsm.Invariant.for_all_pairs ~name:"agree"
+      ~key:(fun _ s -> Some s)
+      ~conflict:(fun a b -> if a <> b then Some "disagree" else None)
   in
   check Alcotest.bool "agreeing" true
     (Dsm.Invariant.check inv [| 5; 5; 5 |] = None);
@@ -237,28 +238,62 @@ let test_invariant_introspection () =
     Dsm.Invariant.for_all_nodes ~name:"even" (fun _ s ->
         if s mod 2 = 0 then None else Some "odd")
   in
-  (match Dsm.Invariant.nodewise_witness local with
-  | Some w ->
-      check Alcotest.bool "witness fires" true (w 0 3);
-      check Alcotest.bool "witness holds" false (w 0 2)
-  | None -> fail "for_all_nodes must expose a nodewise witness");
-  check Alcotest.bool "no pairwise shape" true
-    (Dsm.Invariant.pairwise_witness local = None);
-  let pair =
-    Dsm.Invariant.for_all_pairs ~name:"lt" (fun _ a _ b ->
-        if a > b then Some "decreasing" else None)
+  let nodewise inv =
+    match Dsm.Invariant.shape inv with
+    | Dsm.Invariant.Nodewise w -> w
+    | _ -> fail "expected a nodewise shape"
   in
-  (match Dsm.Invariant.pairwise_witness pair with
-  | Some w ->
-      (* the witness must be order-insensitive *)
-      check Alcotest.bool "fires one way" true (w 0 5 1 3);
-      check Alcotest.bool "fires the other way" true (w 0 3 1 5);
-      check Alcotest.bool "quiet on equals" false (w 0 3 1 3)
-  | None -> fail "for_all_pairs must expose a pairwise witness");
+  let w = nodewise local in
+  check Alcotest.bool "witness fires" true (w 0 3);
+  check Alcotest.bool "witness holds" false (w 0 2);
+  (* keyed by value, odd values only; the lower node id comes first *)
+  let pair =
+    Dsm.Invariant.for_all_pairs ~name:"lt"
+      ~key:(fun _ s -> if s mod 2 = 1 then Some s else None)
+      ~conflict:(fun a b -> if a > b then Some "decreasing" else None)
+  in
+  let pairwise inv =
+    match Dsm.Invariant.shape inv with
+    | Dsm.Invariant.Pairwise { key; conflict } -> (
+        fun i a j b ->
+          match (key i a, key j b) with
+          | Some ka, Some kb -> conflict ka kb <> None
+          | _ -> false)
+    | _ -> fail "expected a pairwise shape"
+  in
+  let w = pairwise pair in
+  check Alcotest.bool "fires in node order" true (w 0 5 1 3);
+  check Alcotest.bool "quiet against node order" false (w 0 3 1 5);
+  check Alcotest.bool "keyless never conflicts" false (w 0 6 1 3);
+  check Alcotest.bool "check agrees with the key" true
+    (Dsm.Invariant.check pair [| 5; 6; 3 |] <> None
+    && Dsm.Invariant.check pair [| 6; 5; 4 |] = None);
+  (* conjunctions keep a shared shape and drop a mixed one *)
+  let small =
+    Dsm.Invariant.for_all_nodes ~name:"small" (fun _ s ->
+        if s < 10 then None else Some "big")
+  in
+  let w = nodewise (Dsm.Invariant.conj [ local; small ]) in
+  check Alcotest.bool "either conjunct fires" true (w 0 3 && w 0 12);
+  check Alcotest.bool "both hold" false (w 0 4);
+  let equal =
+    Dsm.Invariant.for_all_pairs ~name:"eq"
+      ~key:(fun _ s -> Some s)
+      ~conflict:(fun a b -> if a <> b then Some "differ" else None)
+  in
+  let w = pairwise (Dsm.Invariant.conj [ pair; equal ]) in
+  check Alcotest.bool "first conjunct's conflict" true (w 0 5 1 3);
+  check Alcotest.bool "second conjunct's conflict" true (w 0 4 1 6);
+  check Alcotest.bool "no conjunct conflicts" false (w 0 4 1 4);
   let opaque = Dsm.Invariant.make ~name:"opaque" (fun _ -> None) in
-  check Alcotest.bool "opaque has no shape" true
-    (Dsm.Invariant.nodewise_witness opaque = None
-    && Dsm.Invariant.pairwise_witness opaque = None)
+  let is_opaque inv =
+    match Dsm.Invariant.shape inv with
+    | Dsm.Invariant.Opaque -> true
+    | _ -> false
+  in
+  check Alcotest.bool "opaque has no shape" true (is_opaque opaque);
+  check Alcotest.bool "a mixed conjunction is opaque" true
+    (is_opaque (Dsm.Invariant.conj [ local; pair ]))
 
 (* ---------- Json ---------- *)
 

@@ -550,7 +550,8 @@ module Y_flood = Lint.Symmetry.Make (Protocols.Lint_fixtures.Sym_flood)
    full group. *)
 let flood_gap =
   Dsm.Invariant.for_all_pairs ~name:"bounded-progress-gap"
-    (fun _ a _ b ->
+    ~key:(fun _ s -> Some s)
+    ~conflict:(fun a b ->
       if abs (a - b) > 100 then Some "progress gap exceeds 100" else None)
 
 (* The planted claim defect: fixture-sym-broken claims [S_3] but its

@@ -256,23 +256,289 @@ let test_deferred_cache_overflow_falls_back () =
 
 (* ---------- automatic pruning (the paper's future work) ---------- *)
 
-let test_automatic_equals_handcrafted_on_paxos () =
-  let module Paxos = Protocols.Paxos.Make (Protocols.Paxos.Bench_config) in
-  let module L = Lmc.Checker.Make (Paxos) in
-  let init = Dsm.Protocol.initial_system (module Paxos) in
-  let run strategy =
-    L.run L.default_config ~strategy ~invariant:Paxos.safety init
+(* The differential oracle for the creation strategy: [Automatic]
+   reaches the same sound verdict as the full product ([General]) at
+   every exploration width, every witness it reports replays to a
+   violating system state, and it meets exactly [General]'s preliminary
+   violations — run to the end (within [max_depth], for spaces that
+   never end), and cut short by a transition budget, where both
+   strategies must have judged the same violating combinations against
+   the same predecessor DAGs. *)
+let strategies_agree ?max_depth (type s m a)
+    (module P : Dsm.Protocol.S
+      with type state = s
+       and type message = m
+       and type action = a) (invariant : s Dsm.Invariant.t) =
+  let module L = Lmc.Checker.Make (P) in
+  let module W = Lmc.Witness.Make (P) in
+  let init = Dsm.Protocol.initial_system (module P) in
+  let found strategy domains =
+    let r = L.run { L.default_config with domains } ~strategy ~invariant init in
+    (match (strategy, r.sound_violation) with
+    | L.Automatic, Some v -> (
+        match W.replay ~init v.schedule with
+        | Some final when Dsm.Invariant.check invariant final <> None -> ()
+        | _ -> fail (P.name ^ ": automatic witness does not replay"))
+    | _ -> ());
+    r.sound_violation <> None
   in
-  let hand =
-    run
-      (L.Invariant_specific
-         { abstract = Paxos.abstraction; conflict = Paxos.conflicts })
+  let prelims strategy =
+    (L.run
+       { L.default_config with stop_on_violation = false; max_depth }
+       ~strategy ~invariant init)
+      .preliminary_violations
   in
-  let auto = run L.Automatic in
-  check Alcotest.int "both create zero system states" 0
-    (hand.system_states_created + auto.system_states_created);
-  check Alcotest.bool "both quiet" true
-    (hand.sound_violation = None && auto.sound_violation = None)
+  let truncated strategy budget =
+    let r =
+      L.run
+        {
+          L.default_config with
+          stop_on_violation = false;
+          max_depth;
+          max_transitions = Some budget;
+        }
+        ~strategy ~invariant init
+    in
+    (r.sound_violation <> None, r.preliminary_violations)
+  in
+  let expected = found L.General 1 in
+  List.for_all
+    (fun domains ->
+      found L.General domains = expected
+      && found L.Automatic domains = expected)
+    [ 1; 2 ]
+  && prelims L.General = prelims L.Automatic
+  && List.for_all
+       (fun budget -> truncated L.General budget = truncated L.Automatic budget)
+       [ 5; 17; 60 ]
+
+(* Random synthetic protocols under every invariant shape: keyed
+   pairwise (node-dependent keys, an order-sensitive conflict),
+   nodewise, and conjunctions of each plus a mixed (opaque) one. *)
+type synth = {
+  seed : int;
+  nodes : int;
+  max_state : int;
+  kinds : int;
+  shape : int;
+  a : int;
+  b : int;
+}
+
+let synth_gen =
+  QCheck.Gen.(
+    map
+      (fun (seed, nodes, max_state, kinds, (shape, a, b)) ->
+        { seed; nodes; max_state; kinds; shape; a; b })
+      (tup5 (int_bound 10_000) (int_range 2 4) (int_range 2 4)
+         (int_range 1 2)
+         (triple (int_bound 4) (int_range 1 4) (int_bound 2))))
+
+let synth_print c =
+  Printf.sprintf "seed=%d nodes=%d max_state=%d kinds=%d shape=%d a=%d b=%d"
+    c.seed c.nodes c.max_state c.kinds c.shape c.a c.b
+
+let synth_agree c =
+  let module P = Protocols.Synthetic.Make (struct
+    let seed = c.seed
+    let num_nodes = c.nodes
+    let max_state = c.max_state
+    let kinds = c.kinds
+  end) in
+  let keyed a b =
+    Dsm.Invariant.for_all_pairs ~name:"keyed"
+      ~key:(fun n s -> if s >= a then Some (s + n) else None)
+      ~conflict:(fun x y ->
+        if ((2 * x) + y) mod 3 = b then Some "conflict" else None)
+  in
+  let local a =
+    Dsm.Invariant.for_all_nodes ~name:"local" (fun n s ->
+        if s = (a + n) mod (c.max_state + 1) then Some "hit" else None)
+  in
+  let invariant =
+    match c.shape with
+    | 0 -> keyed c.a c.b
+    | 1 -> local c.a
+    | 2 ->
+        Dsm.Invariant.conj
+          [ keyed c.a c.b; keyed (c.a + 1) ((c.b + 1) mod 3) ]
+    | 3 -> Dsm.Invariant.conj [ local c.a; local (c.a + 2) ]
+    | _ -> Dsm.Invariant.conj [ keyed c.a c.b; local c.a ]
+  in
+  strategies_agree (module P) invariant
+
+let prop_automatic_agrees_with_general =
+  QCheck.Test.make ~count:60 ~name:"automatic = general on synthetic"
+    (QCheck.make ~print:synth_print synth_gen)
+    synth_agree
+
+(* A reachable violation whose conflicting pair was seeded before the
+   third state it needs existed: that state has no key and its messages
+   only give the pair a new predecessor, so only the completion of the
+   older seed, when the third state is created, builds the violating
+   combination. *)
+let test_late_partner_completes_seed () =
+  check Alcotest.bool "automatic = general" true
+    (synth_agree
+       {
+         seed = 9032;
+         nodes = 4;
+         max_state = 4;
+         kinds = 1;
+         shape = 2;
+         a = 4;
+         b = 2;
+       })
+
+(* The same oracle on every bundled runner that completes in under a
+   second. *)
+let test_automatic_agrees_on_bundled () =
+  let case (type s m a) name
+      (module P : Dsm.Protocol.S
+        with type state = s
+         and type message = m
+         and type action = a) invariant =
+    if not (strategies_agree ~max_depth:6 (module P) invariant) then
+      fail (name ^ ": automatic and general disagree")
+  in
+  let module Paxos_cfg (B : sig
+    val bug : Protocols.Paxos_core.bug
+  end) =
+  struct
+    include Protocols.Paxos.Bench_config
+
+    let bug = B.bug
+  end in
+  let module Paxos = Protocols.Paxos.Make (Paxos_cfg (struct
+    let bug = Protocols.Paxos_core.No_bug
+  end)) in
+  let module Paxos_bug = Protocols.Paxos.Make (Paxos_cfg (struct
+    let bug = Protocols.Paxos_core.Last_response_wins
+  end)) in
+  let module Chain8 = Protocols.Chain.Make (struct
+    let length = 8
+  end) in
+  let module Randtree (B : sig
+    val bug : Protocols.Randtree.bug
+  end) =
+  Protocols.Randtree.Make (struct
+    let num_nodes = 4
+    let max_children = 2
+    let max_attempts = 1
+    let bug = B.bug
+  end) in
+  let module Rt = Randtree (struct
+    let bug = Protocols.Randtree.No_bug
+  end) in
+  let module Rt_bug = Randtree (struct
+    let bug = Protocols.Randtree.Double_bookkeeping
+  end) in
+  let module Tpc (B : sig
+    val bug : Protocols.Twophase.bug
+  end) =
+  Protocols.Twophase.Make (struct
+    let num_nodes = 4
+    let no_voters = [ 2 ]
+    let bug = B.bug
+  end) in
+  let module Tpc_ok = Tpc (struct
+    let bug = Protocols.Twophase.No_bug
+  end) in
+  let module Tpc_bug = Tpc (struct
+    let bug = Protocols.Twophase.Commit_on_majority
+  end) in
+  let module Ring (B : sig
+    val bug : Protocols.Ring_election.bug
+  end) =
+  Protocols.Ring_election.Make (struct
+    let num_nodes = 3
+    let starters = [ 0; 1 ]
+    let bug = B.bug
+  end) in
+  let module Ring_ok = Ring (struct
+    let bug = Protocols.Ring_election.No_bug
+  end) in
+  let module Ring_bug = Ring (struct
+    let bug = Protocols.Ring_election.Forward_smaller
+  end) in
+  let module Mutex (B : sig
+    val bug : Protocols.Token_mutex.bug
+  end) =
+  Protocols.Token_mutex.Make (struct
+    let num_nodes = 3
+    let contenders = [ 1; 2 ]
+    let max_regenerations = 1
+    let bug = B.bug
+  end) in
+  let module Mutex_ok = Mutex (struct
+    let bug = Protocols.Token_mutex.No_bug
+  end) in
+  let module Mutex_bug = Mutex (struct
+    let bug = Protocols.Token_mutex.Regenerate_token
+  end) in
+  let module Abp (B : sig
+    val bug : Protocols.Alternating_bit.bug
+  end) =
+  Protocols.Alternating_bit.Make (struct
+    let data = [ 10; 20 ]
+    let max_retransmits = 1
+    let bug = B.bug
+  end) in
+  let module Abp_ok = Abp (struct
+    let bug = Protocols.Alternating_bit.No_bug
+  end) in
+  let module Abp_bug = Abp (struct
+    let bug = Protocols.Alternating_bit.Ignore_bit
+  end) in
+  let module Fifo_ok = Protocols.Fifo.Make (Abp_ok) in
+  let module Fifo_bug = Protocols.Fifo.Make (Abp_bug) in
+  let module Pb (B : sig
+    val bug : Protocols.Pb_store.bug
+  end) =
+  Protocols.Pb_store.Make (struct
+    let key = 7
+    let value = 42
+    let bug = B.bug
+  end) in
+  let module Pb_ok = Pb (struct
+    let bug = Protocols.Pb_store.No_bug
+  end) in
+  let module Pb_bug = Pb (struct
+    let bug = Protocols.Pb_store.Ack_before_replication
+  end) in
+  let module Pb_crash = Pb (struct
+    let bug = Protocols.Pb_store.Lose_acked_writes_on_recovery
+  end) in
+  let module Swim_ns = Protocols.Swim.Make (struct
+    let num_servers = 4
+    let bug = Protocols.Swim.No_suspicion
+  end) in
+  let module Flood = Protocols.Lint_fixtures.Sym_flood in
+  case "tree" (module Tree) Tree.received_implies_sent;
+  case "chain" (module Chain8) Chain8.prefix_closed;
+  case "ping" (module Ping2) Ping2.no_excess_pongs;
+  case "randtree" (module Rt) Rt.disjointness;
+  case "randtree-buggy" (module Rt_bug) Rt_bug.disjointness;
+  case "paxos" (module Paxos) Paxos.safety;
+  case "paxos-buggy" (module Paxos_bug) Paxos_bug.safety;
+  case "2pc" (module Tpc_ok) Tpc_ok.atomicity;
+  case "2pc-buggy" (module Tpc_bug) Tpc_bug.atomicity;
+  case "ring" (module Ring_ok) Ring_ok.agreement;
+  case "ring-buggy" (module Ring_bug) Ring_bug.agreement;
+  case "mutex" (module Mutex_ok) Mutex_ok.mutual_exclusion;
+  case "mutex-buggy" (module Mutex_bug) Mutex_bug.mutual_exclusion;
+  case "abp" (module Fifo_ok) (Fifo_ok.lift_invariant Abp_ok.prefix_delivery);
+  case "abp-buggy" (module Fifo_bug)
+    (Fifo_bug.lift_invariant Abp_bug.prefix_delivery);
+  case "pb-store" (module Pb_ok) Pb_ok.read_your_writes;
+  case "pb-store-buggy" (module Pb_bug) Pb_bug.read_your_writes;
+  case "pb-store-crash" (module Pb_crash) Pb_crash.read_your_writes;
+  case "swim-nosuspect" (module Swim_ns) Swim_ns.membership_safety;
+  case "sym-flood" (module Flood)
+    (Dsm.Invariant.for_all_pairs ~name:"bounded-progress-gap"
+       ~key:(fun _ s -> Some s)
+       ~conflict:(fun a b ->
+         if abs (a - b) > 100 then Some "progress gap" else None))
 
 let test_automatic_prunes_nodewise () =
   let module RTB = Protocols.Randtree.Make (struct
@@ -324,8 +590,9 @@ let test_automatic_initial_violation () =
   (* a live snapshot that already violates a pairwise invariant must be
      reported by the Automatic strategy immediately *)
   let disagree =
-    Dsm.Invariant.for_all_pairs ~name:"states-agree" (fun _ a _ b ->
-        if a <> b then Some "differ" else None)
+    Dsm.Invariant.for_all_pairs ~name:"states-agree"
+      ~key:(fun _ s -> Some s)
+      ~conflict:(fun a b -> if a <> b then Some "differ" else None)
   in
   let snapshot =
     [| Protocols.Tree.Sent; Protocols.Tree.Waiting; Protocols.Tree.Waiting;
@@ -710,9 +977,7 @@ let test_lmc_memory_smaller_than_global () =
   let g = G.run G.default_config ~invariant:Paxos.safety (init ()) in
   let l =
     L.run L.default_config
-      ~strategy:
-        (L.Invariant_specific
-           { abstract = Paxos.abstraction; conflict = Paxos.conflicts })
+      ~strategy:L.Automatic
       ~invariant:Paxos.safety (init ())
   in
   check Alcotest.bool "LMC retains less" true
@@ -863,8 +1128,11 @@ let () =
         ] );
       ( "automatic",
         [
-          Alcotest.test_case "matches handcrafted OPT" `Quick
-            test_automatic_equals_handcrafted_on_paxos;
+          QCheck_alcotest.to_alcotest prop_automatic_agrees_with_general;
+          Alcotest.test_case "agrees on bundled runners" `Quick
+            test_automatic_agrees_on_bundled;
+          Alcotest.test_case "late partner completes a seed" `Quick
+            test_late_partner_completes_seed;
           Alcotest.test_case "prunes nodewise" `Quick
             test_automatic_prunes_nodewise;
           Alcotest.test_case "opaque fallback" `Quick

@@ -218,7 +218,9 @@ let test_bdfs_symmetry_reduction () =
   let module G = Mc_global.Bdfs.Make (F) in
   let module Y = Lint.Symmetry.Make (F) in
   let gap =
-    Dsm.Invariant.for_all_pairs ~name:"bounded-progress-gap" (fun _ a _ b ->
+    Dsm.Invariant.for_all_pairs ~name:"bounded-progress-gap"
+      ~key:(fun _ s -> Some s)
+      ~conflict:(fun a b ->
         if abs (a - b) > 100 then Some "progress gap" else None)
   in
   let y = Y.run ~config:{ Y.default_config with invariant = Some gap } () in

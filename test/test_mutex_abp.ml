@@ -69,9 +69,7 @@ let test_mutex_safe_global_and_lmc () =
   let module L = Lmc.Checker.Make (Mutex) in
   let r =
     L.run L.default_config
-      ~strategy:
-        (L.Invariant_specific
-           { abstract = Mutex.abstraction; conflict = Mutex.conflicts })
+      ~strategy:L.Automatic
       ~invariant:Mutex.mutual_exclusion (init (module Mutex))
   in
   check Alcotest.bool "LMC quiet" true (r.sound_violation = None)
@@ -86,9 +84,7 @@ let test_mutex_bug_found () =
   let module L = Lmc.Checker.Make (Mutex_bug) in
   let r =
     L.run L.default_config
-      ~strategy:
-        (L.Invariant_specific
-           { abstract = Mutex_bug.abstraction; conflict = Mutex_bug.conflicts })
+      ~strategy:L.Automatic
       ~invariant:Mutex_bug.mutual_exclusion (init (module Mutex_bug))
   in
   match r.sound_violation with

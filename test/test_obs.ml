@@ -601,9 +601,7 @@ let test_checker_counters_match_result () =
   in
   let r =
     L.run cfg
-      ~strategy:
-        (L.Invariant_specific
-           { abstract = Buggy.abstraction; conflict = Buggy.conflicts })
+      ~strategy:L.Automatic
       ~invariant:Buggy.safety snapshot
   in
   (* the run must exercise the interesting paths, or this test checks
@@ -653,9 +651,7 @@ let test_checker_counters_match_result_parallel () =
   in
   let r =
     L.run cfg
-      ~strategy:
-        (L.Invariant_specific
-           { abstract = Buggy.abstraction; conflict = Buggy.conflicts })
+      ~strategy:L.Automatic
       ~invariant:Buggy.safety snapshot
   in
   let counter name =
@@ -683,9 +679,7 @@ let test_telemetry_is_pure_observer () =
         local_action_bound = Some 1;
         obs = scope;
       }
-      ~strategy:
-        (L.Invariant_specific
-           { abstract = Buggy.abstraction; conflict = Buggy.conflicts })
+      ~strategy:L.Automatic
       ~invariant:Buggy.safety snapshot
   in
   let bare = run Obs.null in

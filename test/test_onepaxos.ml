@@ -290,9 +290,7 @@ let test_bug_found_from_snapshot () =
   in
   let r =
     L_buggy.run cfg
-      ~strategy:
-        (L_buggy.Invariant_specific
-           { abstract = Buggy.abstraction; conflict = Buggy.conflicts })
+      ~strategy:L_buggy.Automatic
       ~invariant:Buggy.safety snapshot
   in
   match r.sound_violation with
@@ -347,9 +345,7 @@ let test_fixed_safe_from_equivalent_snapshot () =
   in
   let r =
     L_fixed.run cfg
-      ~strategy:
-        (L_fixed.Invariant_specific
-           { abstract = Fixed.abstraction; conflict = Fixed.conflicts })
+      ~strategy:L_fixed.Automatic
       ~invariant:Fixed.safety states
   in
   check Alcotest.bool "fixed 1Paxos stays safe" true

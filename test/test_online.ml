@@ -65,14 +65,11 @@ let buggy_config ~max_live_time =
     store = None;
   }
 
-let strategy_buggy =
-  Online_buggy.Checker.Invariant_specific
-    { abstract = Check_p.abstraction; conflict = Check_p.conflicts }
-
 let test_finds_injected_bug () =
   let outcome =
     Online_buggy.run (buggy_config ~max_live_time:600.0)
-      ~strategy:strategy_buggy ~invariant:Check_p.safety
+      ~strategy:Online_buggy.Checker.Automatic
+      ~invariant:Check_p.safety
   in
   match outcome.report with
   | None -> fail "online checking missed the injected bug"
@@ -88,7 +85,8 @@ let test_finds_injected_bug () =
 let test_report_printable () =
   let outcome =
     Online_buggy.run (buggy_config ~max_live_time:600.0)
-      ~strategy:strategy_buggy ~invariant:Check_p.safety
+      ~strategy:Online_buggy.Checker.Automatic
+      ~invariant:Check_p.safety
   in
   match outcome.report with
   | None -> fail "expected a report"
@@ -118,10 +116,7 @@ let test_correct_paxos_quiet () =
       store = None;
     }
   in
-  let strategy =
-    Online_fixed.Checker.Invariant_specific
-      { abstract = Check_fixed.abstraction; conflict = Check_fixed.conflicts }
-  in
+  let strategy = Online_fixed.Checker.Automatic in
   let outcome =
     Online_fixed.run config ~strategy ~invariant:Check_fixed.safety
   in
@@ -179,10 +174,7 @@ let test_steering_prevents_live_violation () =
       store = None;
     }
   in
-  let strategy =
-    O.Checker.Invariant_specific
-      { abstract = OP.abstraction; conflict = OP.conflicts }
-  in
+  let strategy = O.Checker.Automatic in
   let steered = O.run (config true) ~strategy ~invariant:OP.safety in
   check Alcotest.bool "violation predicted" true (steered.report <> None);
   check Alcotest.bool "vetoes installed" true (steered.vetoed <> []);
@@ -191,22 +183,11 @@ let test_steering_prevents_live_violation () =
 
 (* ---------- supervised loop (hardening) ---------- *)
 
-(* A throwing abstraction function fails every Checker.run attempt
-   while leaving the live loop's own invariant evaluation untouched
-   (the abstraction is only ever called inside the checker). *)
+(* A throwing node-state observer fails a Checker.run attempt while
+   leaving the live loop's own invariant evaluation untouched (the
+   observer is only ever called inside the checker). *)
 let test_survives_checker_failure () =
   let calls = ref 0 in
-  let strategy =
-    Online_fixed.Checker.Invariant_specific
-      {
-        abstract =
-          (fun s ->
-            incr calls;
-            if !calls <= 1 then failwith "injected checker failure";
-            Check_fixed.abstraction s);
-        conflict = Check_fixed.conflicts;
-      }
-  in
   let config =
     {
       Online_fixed.sim =
@@ -219,6 +200,11 @@ let test_survives_checker_failure () =
           Online_fixed.Checker.default_config with
           time_limit = Some 3.0;
           max_transitions = Some 50_000;
+          on_new_node_state =
+            Some
+              (fun _ _ ->
+                incr calls;
+                if !calls <= 1 then failwith "injected checker failure");
         };
       action_bounds = [ 1 ];
       steer = false;
@@ -234,7 +220,8 @@ let test_survives_checker_failure () =
     }
   in
   let outcome =
-    Online_fixed.run config ~strategy ~invariant:Check_fixed.safety
+    Online_fixed.run config ~strategy:Online_fixed.Checker.Automatic
+      ~invariant:Check_fixed.safety
   in
   check Alcotest.bool "loop survived the injected failure" true
     (outcome.total_checks >= 2);
@@ -245,13 +232,6 @@ let test_survives_checker_failure () =
   check Alcotest.bool "no false positive" true (outcome.report = None)
 
 let test_survives_permanent_checker_failure () =
-  let strategy =
-    Online_fixed.Checker.Invariant_specific
-      {
-        abstract = (fun _ -> failwith "checker always dies");
-        conflict = Check_fixed.conflicts;
-      }
-  in
   let config =
     {
       Online_fixed.sim =
@@ -264,6 +244,8 @@ let test_survives_permanent_checker_failure () =
           Online_fixed.Checker.default_config with
           time_limit = Some 3.0;
           max_transitions = Some 50_000;
+          (* an invalid width: every Checker.run raises *)
+          domains = 0;
         };
       action_bounds = [ 1 ];
       steer = false;
@@ -279,7 +261,8 @@ let test_survives_permanent_checker_failure () =
     }
   in
   let outcome =
-    Online_fixed.run config ~strategy ~invariant:Check_fixed.safety
+    Online_fixed.run config ~strategy:Online_fixed.Checker.Automatic
+      ~invariant:Check_fixed.safety
   in
   check Alcotest.bool "every restart degraded" true
     (List.mem "checker_failed_permanently" outcome.degradations);
@@ -313,7 +296,8 @@ let test_survives_corrupt_snapshot () =
     }
   in
   let outcome =
-    Online_buggy.run config ~strategy:strategy_buggy ~invariant:Check_p.safety
+    Online_buggy.run config ~strategy:Online_buggy.Checker.Automatic
+      ~invariant:Check_p.safety
   in
   check Alcotest.int "exactly one snapshot tampered" 1 !tampered;
   check Alcotest.bool "rejected with a typed diagnostic" true
@@ -336,7 +320,8 @@ let test_restart_budget_degrades () =
     }
   in
   let outcome =
-    Online_buggy.run config ~strategy:strategy_buggy ~invariant:Check_p.safety
+    Online_buggy.run config ~strategy:Online_buggy.Checker.Automatic
+      ~invariant:Check_p.safety
   in
   check Alcotest.bool "budget trips recorded" true
     (List.mem "restart_budget_exceeded" outcome.degradations);
@@ -348,7 +333,8 @@ let test_interval_validation () =
   match
     Online_buggy.run
       { (buggy_config ~max_live_time:10.0) with check_interval = 0.0 }
-      ~strategy:strategy_buggy ~invariant:Check_p.safety
+      ~strategy:Online_buggy.Checker.Automatic
+      ~invariant:Check_p.safety
   with
   | exception Invalid_argument _ -> ()
   | _ -> fail "zero interval accepted"

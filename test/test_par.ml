@@ -238,8 +238,9 @@ let run_synthetic ~seed ~domains ~auto ~defer =
      bug-free instances occur. *)
   let cap = 3 + (seed mod 2) in
   let invariant =
-    Dsm.Invariant.for_all_pairs ~name:"no-two-saturated" (fun _ s1 _ s2 ->
-        if s1 >= cap && s2 >= cap then Some "both nodes saturated" else None)
+    Dsm.Invariant.for_all_pairs ~name:"no-two-saturated"
+      ~key:(fun _ s -> if s >= cap then Some () else None)
+      ~conflict:(fun () () -> Some "both nodes saturated")
   in
   let config =
     {
@@ -309,8 +310,9 @@ let bdfs_summary ~seed ~domains =
   let module G = Mc_global.Bdfs.Make (P) in
   let cap = 3 + (seed mod 2) in
   let invariant =
-    Dsm.Invariant.for_all_pairs ~name:"no-two-saturated" (fun _ s1 _ s2 ->
-        if s1 >= cap && s2 >= cap then Some "both nodes saturated" else None)
+    Dsm.Invariant.for_all_pairs ~name:"no-two-saturated"
+      ~key:(fun _ s -> if s >= cap then Some () else None)
+      ~conflict:(fun () () -> Some "both nodes saturated")
   in
   (* Exhaust the space so DFS and BFS explore the same set. *)
   let config = { G.default_config with G.stop_on_violation = false; domains } in

@@ -182,10 +182,10 @@ let test_disagreement () =
   let a = feed ~self:0 a ~src:2 (Core.Learn { idx = 0; rnd = 4; v = 1 }) in
   let b = feed ~self:1 Core.empty ~src:1 (Core.Learn { idx = 0; rnd = 7; v = 2 }) in
   let b = feed ~self:1 b ~src:2 (Core.Learn { idx = 0; rnd = 7; v = 2 }) in
-  check Alcotest.bool "disagree" true (Core.disagreement a b <> None);
-  check Alcotest.bool "self-agreement" true (Core.disagreement a a = None);
-  check Alcotest.bool "empty agrees" true
-    (Core.disagreement Core.empty a = None)
+  let disagree x y = Core.disagreement (Core.chosen_all x) (Core.chosen_all y) in
+  check Alcotest.bool "disagree" true (disagree a b <> None);
+  check Alcotest.bool "self-agreement" true (disagree a a = None);
+  check Alcotest.bool "empty agrees" true (disagree Core.empty a = None)
 
 let test_multi_index_independence () =
   let state, _ = Core.propose ~n:n3 ~self:0 Core.empty ~idx:5 ~v:1 in
@@ -200,10 +200,6 @@ module G_paxos = Mc_global.Bdfs.Make (Paxos)
 module L_paxos = Lmc.Checker.Make (Paxos)
 
 let paxos_init () = Dsm.Protocol.initial_system (module Paxos)
-
-let opt_strategy =
-  L_paxos.Invariant_specific
-    { abstract = Paxos.abstraction; conflict = Paxos.conflicts }
 
 let test_bench_space_depth_22 () =
   let o = G_paxos.run G_paxos.default_config ~invariant:Paxos.safety (paxos_init ()) in
@@ -226,7 +222,7 @@ let test_lmc_gen_explores_bench_space () =
 let test_lmc_opt_zero_system_states () =
   (* Fig. 11: "The number of system states explored by LMC-OPT is zero" *)
   let r =
-    L_paxos.run L_paxos.default_config ~strategy:opt_strategy
+    L_paxos.run L_paxos.default_config ~strategy:L_paxos.Automatic
       ~invariant:Paxos.safety (paxos_init ())
   in
   check Alcotest.bool "completed" true r.completed;
@@ -236,7 +232,7 @@ let test_lmc_opt_zero_system_states () =
 let test_lmc_vs_global_transition_reduction () =
   let g = G_paxos.run G_paxos.default_config ~invariant:Paxos.safety (paxos_init ()) in
   let r =
-    L_paxos.run L_paxos.default_config ~strategy:opt_strategy
+    L_paxos.run L_paxos.default_config ~strategy:L_paxos.Automatic
       ~invariant:Paxos.safety (paxos_init ())
   in
   (* §5.1 reports ~132x; our leaner substrate gives tens of x *)
@@ -334,9 +330,7 @@ let test_bug_found_from_snapshot () =
   in
   let r =
     L_buggy.run cfg
-      ~strategy:
-        (L_buggy.Invariant_specific
-           { abstract = Buggy.abstraction; conflict = Buggy.conflicts })
+      ~strategy:L_buggy.Automatic
       ~invariant:Buggy.safety snapshot
   in
   match r.sound_violation with
@@ -364,9 +358,7 @@ let test_correct_paxos_from_snapshot_safe () =
   in
   let r =
     L.run cfg
-      ~strategy:
-        (L.Invariant_specific
-           { abstract = Fixed.abstraction; conflict = Fixed.conflicts })
+      ~strategy:L.Automatic
       ~invariant:Fixed.safety snapshot
   in
   check Alcotest.bool "completed" true r.completed;

@@ -117,9 +117,7 @@ let test_buggy_found_lmc () =
   let module L = Lmc.Checker.Make (Ring_bug) in
   let r =
     L.run L.default_config
-      ~strategy:
-        (L.Invariant_specific
-           { abstract = Ring_bug.abstraction; conflict = Ring_bug.conflicts })
+      ~strategy:L.Automatic
       ~invariant:Ring_bug.agreement (init (module Ring_bug))
   in
   match r.sound_violation with
@@ -132,9 +130,7 @@ let test_correct_quiet_lmc () =
   let module L = Lmc.Checker.Make (Ring) in
   let r =
     L.run L.default_config
-      ~strategy:
-        (L.Invariant_specific
-           { abstract = Ring.abstraction; conflict = Ring.conflicts })
+      ~strategy:L.Automatic
       ~invariant:Ring.agreement (init (module Ring))
   in
   check Alcotest.bool "completed" true r.completed;

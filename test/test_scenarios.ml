@@ -70,9 +70,7 @@ let test_snapshots_drive_detection () =
       { L.default_config with
         time_limit = Some 30.0;
         local_action_bound = Some 1 }
-      ~strategy:
-        (L.Invariant_specific
-           { abstract = Paxos.abstraction; conflict = Paxos.conflicts })
+      ~strategy:L.Automatic
       ~invariant:Paxos.safety
       (Protocols.Scenarios.wids_snapshot (module Paxos))
   in
@@ -84,9 +82,7 @@ let test_snapshots_drive_detection () =
       { LO.default_config with
         time_limit = Some 10.0;
         local_action_bound = Some 1 }
-      ~strategy:
-        (LO.Invariant_specific
-           { abstract = OP.abstraction; conflict = OP.conflicts })
+      ~strategy:LO.Automatic
       ~invariant:OP.safety
       (Protocols.Scenarios.onepaxos_snapshot (module OP))
   in

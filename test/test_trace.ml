@@ -156,9 +156,7 @@ module O = Online.Online_mc.Make (Live) (Check_p)
 module Sim_p = Sim.Live_sim.Make (Live)
 module RW = Obs.Replay.Make (Check_p)
 
-let strategy =
-  O.Checker.Invariant_specific
-    { abstract = Check_p.abstraction; conflict = Check_p.conflicts }
+let strategy = O.Checker.Automatic
 
 (* One hunt at the given exploration width, recording into memory; the
    returned list keeps each record's fields in emission order. *)

@@ -159,9 +159,7 @@ let test_buggy_found_lmc_opt () =
   let module L = Lmc.Checker.Make (TPC_bug) in
   let r =
     L.run L.default_config
-      ~strategy:
-        (L.Invariant_specific
-           { abstract = TPC_bug.abstraction; conflict = TPC_bug.conflicts })
+      ~strategy:L.Automatic
       ~invariant:TPC_bug.atomicity (init (module TPC_bug))
   in
   match r.sound_violation with
@@ -175,9 +173,7 @@ let test_correct_quiet_lmc_opt () =
   let module L = Lmc.Checker.Make (TPC_no) in
   let r =
     L.run L.default_config
-      ~strategy:
-        (L.Invariant_specific
-           { abstract = TPC_no.abstraction; conflict = TPC_no.conflicts })
+      ~strategy:L.Automatic
       ~invariant:TPC_no.atomicity (init (module TPC_no))
   in
   check Alcotest.bool "completed" true r.completed;
