@@ -43,12 +43,15 @@ lint: build
 	dune exec bin/jsonl_check.exe -- lint.jsonl
 
 # Benchmark correctness smoke: one short run of every perfbench
-# workload, each of whose JSON result lines must say "correct": true —
-# every hunt found and witnessed its bug, every sweep verdict and count
-# matched.  A gate on verdicts only: timings are never compared here.
+# workload, plus the hunt on its second live seed set (offset 3), each
+# of whose JSON result lines must say "correct": true — every hunt
+# found and witnessed its bug, every sweep verdict and count matched.
+# A gate on verdicts only: timings are never compared here.
 perfbench-smoke: build
 	python3 perfbench/run.py --workload all --seed 1 --seconds 5 --trace 0 \
 	  > perfbench-smoke.out
+	python3 perfbench/run.py --workload hunt --seed 1 --seconds 5 --trace 0 \
+	  --hunt-offset 3 >> perfbench-smoke.out
 	@n=$$(grep -c '^{' perfbench-smoke.out); \
 	ok=$$(grep '^{' perfbench-smoke.out | grep -c '"correct": true'); \
 	echo "perfbench-smoke: $$ok of $$n workloads correct"; \

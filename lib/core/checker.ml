@@ -21,8 +21,8 @@ module Make (P : Dsm.Protocol.S) = struct
 
   (* How combinations are seeded, unpacked once per run from the
      strategy and the invariant's shape.  A keyed entry's key is
-     computed once, when the entry is created; a keyless entry never
-     seeds a combination. *)
+     computed and interned once, when the entry is created; a keyless
+     entry never seeds a combination. *)
   type 'k prune =
     | Full  (* [General], or an invariant of no known shape *)
     | Nodewise of (Dsm.Node_id.t -> P.state -> 'k option)
@@ -165,7 +165,9 @@ module Make (P : Dsm.Protocol.S) = struct
     depth : int;
     local_count : int;
     crashes : int;  (* crash-recoveries consumed on the path here *)
-    key : 'k option;
+    kid : int;
+        (* the interned id of the entry's invariant key ([t.keys]);
+           -1 when it has none *)
     mutable preds : pred list;
     mutable fp_hex : string option;
         (* hex rendering of [fp], cached — every outgoing transition
@@ -174,6 +176,12 @@ module Make (P : Dsm.Protocol.S) = struct
         (* soundness-prefilter summary of this entry's predecessor
            DAG, stamped with its node's [generation] when computed *)
   }
+
+  (* The entries of one node that share a key, in store order. *)
+  type 'k key_group = { g_kid : int; members : 'k entry Vec.t }
+
+  (* Conflict verdicts, keyed by a pair of key ids. *)
+  module Pair_tbl = Hashtbl.Make (Int)
 
   type net_entry = {
     net_id : int;
@@ -239,6 +247,7 @@ module Make (P : Dsm.Protocol.S) = struct
     c_local_drops : Obs.Metrics.counter;
     c_store_hits : Obs.Metrics.counter;
     c_orbit_hits : Obs.Metrics.counter;
+    c_conflict_evals : Obs.Metrics.counter;
     h_system_depth : Obs.Metrics.histogram;
     h_node_depth : Obs.Metrics.histogram;
     h_soundness_us : Obs.Metrics.histogram;
@@ -270,6 +279,7 @@ module Make (P : Dsm.Protocol.S) = struct
       c_local_drops = Obs.counter scope "lmc.local_assert_drops";
       c_store_hits = Obs.counter scope "lmc.store_hits";
       c_orbit_hits = Obs.counter scope "lmc.orbit_hits";
+      c_conflict_evals = Obs.counter scope "lmc.conflict_evals";
       h_system_depth = Obs.histogram scope "lmc.system_depth";
       h_node_depth = Obs.histogram scope "lmc.node_depth";
       h_soundness_us = Obs.histogram scope "lmc.soundness_us";
@@ -302,6 +312,17 @@ module Make (P : Dsm.Protocol.S) = struct
     act_lbl : (P.action, string) Hashtbl.t;
         (* rendered action labels, cached like [net_entry.lbl] *)
     prune : 'k prune;
+    keys : ('k, int) Hashtbl.t;
+        (* every distinct invariant key met this run -> its id; keys
+           are plain data, so the table compares them structurally *)
+    key_of : 'k Vec.t;  (* id -> key *)
+    key_groups : 'k key_group Vec.t array;
+        (* per node, its keyed entries grouped by key id, the groups in
+           order of first appearance *)
+    group_of : (int, 'k key_group) Hashtbl.t array;  (* per node, id -> group *)
+    conflicts : bool Pair_tbl.t;
+        (* whether two key ids conflict, lower node's key first; each
+           pair is put to the invariant's [conflict] once per run *)
     invariant : P.state Dsm.Invariant.t;
     stores : 'k entry Vec.t array;
     generation : int array;
@@ -601,20 +622,78 @@ module Make (P : Dsm.Protocol.S) = struct
       raise Stop
     end
 
-  let entry_key t node state =
+  (* The interned id of [state]'s key, -1 when it has none. *)
+  let entry_kid t node state =
     match t.prune with
-    | Full -> None
-    | Nodewise key | Pairwise { key; _ } -> key node state
+    | Full -> -1
+    | Nodewise key | Pairwise { key; _ } -> (
+        match key node state with
+        | None -> -1
+        | Some k -> (
+            match Hashtbl.find_opt t.keys k with
+            | Some id -> id
+            | None ->
+                let id = Vec.push t.key_of k in
+                Hashtbl.add t.keys k id;
+                id))
+
+  (* Files a new keyed entry under its key at its node. *)
+  let index_key t (e : 'k entry) =
+    if e.kid >= 0 then
+      let group =
+        match Hashtbl.find_opt t.group_of.(e.node) e.kid with
+        | Some g -> g
+        | None ->
+            let g = { g_kid = e.kid; members = Vec.create () } in
+            ignore (Vec.push t.key_groups.(e.node) g);
+            Hashtbl.add t.group_of.(e.node) e.kid g;
+            g
+      in
+      ignore (Vec.push group.members e)
+
+  (* Whether key ids [ka] and [kb] conflict, [ka] first, memoised. *)
+  let kids_conflict t conflict ka kb =
+    let pair = (ka lsl 31) lor kb in
+    match Pair_tbl.find_opt t.conflicts pair with
+    | Some c -> c
+    | None ->
+        Obs.Metrics.incr t.o.c_conflict_evals;
+        let c =
+          Option.is_some (conflict (Vec.get t.key_of ka) (Vec.get t.key_of kb))
+        in
+        Pair_tbl.add t.conflicts pair c;
+        c
 
   (* Whether two keyed entries of distinct nodes can violate a pairwise
      invariant together; the lower node id goes first, as in
      {!Dsm.Invariant.for_all_pairs}'s check. *)
-  let keys_conflict conflict (a : 'k entry) (b : 'k entry) =
-    match (a.key, b.key) with
-    | Some ka, Some kb ->
-        Option.is_some
-          (if a.node < b.node then conflict ka kb else conflict kb ka)
-    | _ -> false
+  let keys_conflict t conflict (a : 'k entry) (b : 'k entry) =
+    a.kid >= 0 && b.kid >= 0
+    &&
+    if a.node < b.node then kids_conflict t conflict a.kid b.kid
+    else kids_conflict t conflict b.kid a.kid
+
+  (* Applies [f] to the entries of node [m] whose keys conflict with
+     keyed [e]'s, in store order: one conflict test per distinct key at
+     [m], then only the conflicting entries. *)
+  let iter_partners t conflict (e : 'k entry) m f =
+    let hits =
+      Vec.fold_left
+        (fun acc g ->
+          let c =
+            if e.node < m then kids_conflict t conflict e.kid g.g_kid
+            else kids_conflict t conflict g.g_kid e.kid
+          in
+          if c then g.members :: acc else acc)
+        [] t.key_groups.(m)
+    in
+    match hits with
+    | [] -> ()
+    | [ members ] -> Vec.iteri (fun _ other -> f other) members
+    | several ->
+        let partners = Array.concat (List.map Vec.to_array several) in
+        Array.sort (fun (a : 'k entry) b -> compare a.idx b.idx) partners;
+        Array.iter f partners
 
   let depth_allows t d =
     match t.config.max_depth with Some bound -> d <= bound | None -> true
@@ -788,14 +867,16 @@ module Make (P : Dsm.Protocol.S) = struct
     t.soundness_calls <- t.soundness_calls + 1;
     Obs.Metrics.incr t.o.c_soundness_calls;
     let t0 = now () in
-    (* Map a scheduled event back to its protocol-level step. *)
-    let by_label : (Dsm.Node_id.t * Fingerprint.t, event_info) Hashtbl.t =
+    (* Map a scheduled event back to its protocol-level step; built only
+       when a search runs, not for the many prefilter rejections. *)
+    let new_labels () : (Dsm.Node_id.t * Fingerprint.t, event_info) Hashtbl.t =
       Hashtbl.create 64
     in
     let found = ref None in
     let exhausted = ref false in
     let prefiltered = ref false in
     if t.config.soundness_via_sequences then begin
+      let by_label = new_labels () in
       let paths =
         Array.map (fun e -> Array.of_list (enumerate_paths t e)) tuple
       in
@@ -821,7 +902,7 @@ module Make (P : Dsm.Protocol.S) = struct
                  ~initial_net:[] seqs
              with
              | Soundness.Valid order ->
-                 found := Some order;
+                 found := Some (order, by_label);
                  `Stop
              | Soundness.Invalid ->
                  if !combos >= t.config.max_sequence_combos then `Stop
@@ -841,13 +922,14 @@ module Make (P : Dsm.Protocol.S) = struct
              ?trace:t.soundness_trace ~initial_net:[] summaries)
       then prefiltered := true
       else
+        let by_label = new_labels () in
         let graphs = Array.map (build_graph ~by_label t) tuple in
         match
           Soundness.check_dag ?obs:t.o.soundness_obs
             ?trace:t.soundness_trace ~budget:t.config.soundness_budget
             ~summaries ~initial_net:[] graphs
         with
-        | Soundness.Valid order -> found := Some order
+        | Soundness.Valid order -> found := Some (order, by_label)
         | Soundness.Invalid -> ()
         | Soundness.Budget_exhausted ->
             exhausted := true;
@@ -878,7 +960,7 @@ module Make (P : Dsm.Protocol.S) = struct
                    r_depth = sdepth;
                  })
         end
-    | Some order ->
+    | Some (order, by_label) ->
         let schedule =
           List.map
             (fun (sev : Soundness.event) ->
@@ -1236,10 +1318,11 @@ module Make (P : Dsm.Protocol.S) = struct
 
   (* Whether [e] conflicts with a component of [tuple] at a node other
      than its own, below node [until]. *)
-  let conflicts_below conflict (e : 'k entry) (tuple : 'k entry array) until =
+  let conflicts_below t conflict (e : 'k entry) (tuple : 'k entry array) until
+      =
     let rec go m =
       m < until
-      && ((m <> e.node && keys_conflict conflict e tuple.(m)) || go (m + 1))
+      && ((m <> e.node && keys_conflict t conflict e tuple.(m)) || go (m + 1))
     in
     go 0
 
@@ -1251,14 +1334,14 @@ module Make (P : Dsm.Protocol.S) = struct
     | Full -> true
     | Nodewise _ ->
         let rec first i =
-          if Option.is_some tuple.(i).key then i else first (i + 1)
+          if tuple.(i).kid >= 0 then i else first (i + 1)
         in
         first 0 = seed.(0).node
     | Pairwise { conflict; _ } ->
         let n = Array.length tuple in
         let rec first i j =
           if j >= n then first (i + 1) (i + 2)
-          else if keys_conflict conflict tuple.(i) tuple.(j) then (i, j)
+          else if keys_conflict t conflict tuple.(i) tuple.(j) then (i, j)
           else first i (j + 1)
         in
         let a = seed.(0).node and b = seed.(1).node in
@@ -1305,34 +1388,29 @@ module Make (P : Dsm.Protocol.S) = struct
       in
       go 0
     in
-    match (t.prune, e.key) with
-    | Full, _ -> pinned_combos t pin
-    | Nodewise _, Some _ ->
+    match t.prune with
+    | Full -> pinned_combos t pin
+    | Nodewise _ when e.kid >= 0 ->
         ignore (Vec.push t.seeds [| e |]);
         pinned_combos t pin
-    | Nodewise _, None ->
-        complete ~fresh:(fun _ -> false) (Vec.length t.seeds)
-    | Pairwise { conflict; _ }, _ ->
+    | Nodewise _ -> complete ~fresh:(fun _ -> false) (Vec.length t.seeds)
+    | Pairwise { conflict; _ } ->
         let older = Vec.length t.seeds in
-        (if Option.is_some e.key then
+        (if e.kid >= 0 then
            (* the partner scan is the hot loop of a keyed run *)
            try
              for m = 0 to P.num_nodes - 1 do
                if m <> e.node then
-                 Vec.iteri
-                   (fun _ (other : 'k entry) ->
-                     if keys_conflict conflict e other then begin
-                       let pair = [| e; other |] in
-                       ignore (Vec.push t.seeds pair);
-                       pinned pair ~keep:(fun tuple ->
-                           not (conflicts_below conflict e tuple m));
-                       if stopped t then raise Exit
-                     end)
-                   t.stores.(m)
+                 iter_partners t conflict e m (fun other ->
+                     let pair = [| e; other |] in
+                     ignore (Vec.push t.seeds pair);
+                     pinned pair ~keep:(fun tuple ->
+                         not (conflicts_below t conflict e tuple m));
+                     if stopped t then raise Exit)
              done
            with Exit -> ());
         complete older ~fresh:(fun tuple ->
-            conflicts_below conflict e tuple P.num_nodes)
+            conflicts_below t conflict e tuple P.num_nodes)
 
   (* Time [f] as system-state creation, net of the soundness checks it
      triggers. *)
@@ -1387,13 +1465,14 @@ module Make (P : Dsm.Protocol.S) = struct
             depth;
             local_count;
             crashes;
-            key = entry_key t node state;
+            kid = entry_kid t node state;
             preds = [ pred ];
             fp_hex = None;
             summary = None;
           }
         in
         ignore (Vec.push store entry);
+        index_key t entry;
         Hashtbl.replace t.by_fp.(node) fp idx;
         (match t.config.persist with
         | Some p -> ignore (Store.Fp_set.add p.p_nodes.(node) fp)
@@ -1401,13 +1480,16 @@ module Make (P : Dsm.Protocol.S) = struct
         if depth > t.max_node_depth then t.max_node_depth <- depth;
         Obs.Metrics.incr t.o.c_node_states;
         Obs.Metrics.observe t.o.h_node_depth depth;
-        Obs.event t.o.scope "lmc.node_state"
-          ~fields:
-            [
-              ("node", Dsm.Json.Int node);
-              ("depth", Dsm.Json.Int depth);
-              ("fp", Dsm.Json.String (Fingerprint.to_hex fp));
-            ];
+        (* the fields are built only for a listener: rendering the
+           fingerprint would cost every new node state a string *)
+        if Obs.active t.o.scope then
+          Obs.event t.o.scope "lmc.node_state"
+            ~fields:
+              [
+                ("node", Dsm.Json.Int node);
+                ("depth", Dsm.Json.Int depth);
+                ("fp", Dsm.Json.String (Fingerprint.to_hex fp));
+              ];
         List.iter (fun f -> f node state) t.o.node_state_observers;
         check_system_invariant t entry;
         true
@@ -1950,14 +2032,14 @@ module Make (P : Dsm.Protocol.S) = struct
     | Full -> ()
     | Nodewise _ ->
         Array.iter
-          (fun (e : 'k entry) -> if Option.is_some e.key then seed [| e |])
+          (fun (e : 'k entry) -> if e.kid >= 0 then seed [| e |])
           roots
     | Pairwise { conflict; _ } ->
         Array.iter
           (fun (a : 'k entry) ->
             Array.iter
               (fun (b : 'k entry) ->
-                if a.node < b.node && keys_conflict conflict a b then
+                if a.node < b.node && keys_conflict t conflict a b then
                   seed [| a; b |])
               roots)
           roots);
@@ -2012,6 +2094,11 @@ module Make (P : Dsm.Protocol.S) = struct
         timed_tick = 0;
         act_lbl = Hashtbl.create 64;
         prune;
+        keys = Hashtbl.create 64;
+        key_of = Vec.create ();
+        key_groups = Array.init P.num_nodes (fun _ -> Vec.create ());
+        group_of = Array.init P.num_nodes (fun _ -> Hashtbl.create 16);
+        conflicts = Pair_tbl.create 64;
         invariant;
         stores = Array.init P.num_nodes (fun _ -> Vec.create ());
         generation = Array.make P.num_nodes 0;
@@ -2062,13 +2149,14 @@ module Make (P : Dsm.Protocol.S) = struct
             depth = 0;
             local_count = 0;
             crashes = 0;
-            key = entry_key t n state;
+            kid = entry_kid t n state;
             preds = [];
             fp_hex = None;
             summary = None;
           }
         in
         ignore (Vec.push t.stores.(n) entry);
+        index_key t entry;
         Hashtbl.replace t.by_fp.(n) fp 0;
         (match config.persist with
         | Some p -> ignore (Store.Fp_set.add p.p_nodes.(n) fp)

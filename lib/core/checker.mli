@@ -55,7 +55,9 @@ module Make (P : Dsm.Protocol.S) : sig
             every combination [General] checks that can violate, at
             the same point of exploration, whether the run completes
             or a budget cuts it short.  An opaque invariant falls back
-            to [General]. *)
+            to [General].  Pairwise keys are interned once per node
+            state, and [conflict] is asked once per pair of distinct
+            keys in a run (the [lmc.conflict_evals] counter). *)
 
   type config = {
     max_depth : int option;

@@ -69,64 +69,143 @@ let record_trace trace ~kind ~steps verdict =
 let pos_weight i v = Hashtbl.hash (0, i, v)
 let msg_weight f = Hashtbl.hash (1, f)
 
+(* The net of one search: a count per interned fingerprint, and the
+   sparse set of the ids whose count is nonzero — the messages in
+   flight, [live.(0 .. size - 1)] in no particular order, with
+   [slot.(f)] the position of [f] in [live].  A call interns every
+   message any edge can produce, but only a few are in flight at once,
+   so the memo keys below are built from and compared against [live],
+   never the whole counts array.  Each search owns its net: the
+   deferred verification runs searches on several domains at once. *)
+type net = {
+  counts : int array;
+  live : int array;
+  slot : int array;
+  mutable size : int;
+}
+
+let add_msg net f =
+  let c = net.counts.(f) in
+  if c = 0 then begin
+    net.slot.(f) <- net.size;
+    net.live.(net.size) <- f;
+    net.size <- net.size + 1
+  end;
+  net.counts.(f) <- c + 1
+
+let remove_msg net f =
+  let c = net.counts.(f) - 1 in
+  net.counts.(f) <- c;
+  if c = 0 then begin
+    let last = net.live.(net.size - 1) in
+    net.live.(net.slot.(f)) <- last;
+    net.slot.(last) <- net.slot.(f);
+    net.size <- net.size - 1
+  end
+
 module Memo = struct
-  (* configuration hash -> stored configurations.  A stored
-     configuration is the positions followed by (message, count)
-     pairs for the messages in flight, in id order: a net holds few
-     of the fingerprints a call interns, so this is much smaller
-     than the full counts array. *)
-  type t = (int, int array) Hashtbl.t
+  (* An open-addressing set of configurations, probed linearly from
+     their hash.  A stored configuration is one small [int array]: its
+     hash, what the search knows of it, the positions, then (message,
+     count) pairs for the messages in flight, in the order of
+     [net.live].  Small arrays are allocated in the minor heap; one
+     growing arena, allocated in the major heap, was no faster. *)
+  type t = { mutable slots : int array array; mutable count : int }
 
-  let create n : t = Hashtbl.create n
+  (* What the search knows of a stored configuration. *)
+  let failed = 0  (* no way on from here: memoised *)
+  let on_path = 1  (* on the current depth-first path *)
+  let open_ = 2  (* visited, but no verdict that may be reused *)
 
-  let key positions counts =
+  let header = 2
+  let absent : int array = [||]
+
+  (* [n] must be a power of two. *)
+  let create n = { slots = Array.make n absent; count = 0 }
+
+  (* The stored pairs name distinct messages, each with a positive
+     count; if every one of them matches the current net and there are
+     as many as messages in flight now, the two nets are equal.  Loops,
+     not local functions: this runs on every search step. *)
+  let same key h positions net =
     let np = Array.length positions in
-    let inflight =
-      Array.fold_left (fun k c -> if c > 0 then k + 1 else k) 0 counts
-    in
-    let key = Array.make (np + (2 * inflight)) 0 in
-    Array.blit positions 0 key 0 np;
-    let j = ref np in
-    Array.iteri
-      (fun f c ->
-        if c > 0 then begin
-          key.(!j) <- f;
-          key.(!j + 1) <- c;
-          j := !j + 2
-        end)
-      counts;
+    key.(0) = h
+    && Array.length key = header + np + (2 * net.size)
+    &&
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < np do
+      ok := key.(header + !i) = positions.(!i);
+      incr i
+    done;
+    let j = ref (header + np) in
+    while !ok && !j < Array.length key do
+      ok := net.counts.(key.(!j)) = key.(!j + 1);
+      j := !j + 2
+    done;
+    !ok
+
+  (* The stored current configuration, or [absent]. *)
+  let find t h positions net =
+    let mask = Array.length t.slots - 1 in
+    let i = ref (h land mask) in
+    while t.slots.(!i) != absent && not (same t.slots.(!i) h positions net) do
+      i := (!i + 1) land mask
+    done;
+    t.slots.(!i)
+
+  let status key = key.(1)
+  let set_status key status = key.(1) <- status
+
+  let place slots key =
+    let mask = Array.length slots - 1 in
+    let i = ref (key.(0) land mask) in
+    while slots.(!i) != absent do
+      i := (!i + 1) land mask
+    done;
+    slots.(!i) <- key
+
+  (* Stores the current configuration, known to be absent, as
+     [status]; returns the stored key. *)
+  let add t h positions net status =
+    let np = Array.length positions in
+    let key = Array.make (header + np + (2 * net.size)) status in
+    key.(0) <- h;
+    Array.blit positions 0 key header np;
+    for j = 0 to net.size - 1 do
+      let f = net.live.(j) in
+      key.(header + np + (2 * j)) <- f;
+      key.(header + np + (2 * j) + 1) <- net.counts.(f)
+    done;
+    t.count <- t.count + 1;
+    if 2 * t.count > Array.length t.slots then begin
+      let old = t.slots in
+      t.slots <- Array.make (2 * Array.length old) absent;
+      Array.iter (fun k -> if k != absent then place t.slots k) old
+    end;
+    place t.slots key;
     key
-
-  let same key positions counts =
-    let np = Array.length positions in
-    let rec pos i = i >= np || (key.(i) = positions.(i) && pos (i + 1)) in
-    let rec net j f =
-      if f >= Array.length counts then j = Array.length key
-      else if counts.(f) = 0 then net j (f + 1)
-      else
-        j + 1 < Array.length key
-        && key.(j) = f
-        && key.(j + 1) = counts.(f)
-        && net (j + 2) (f + 1)
-    in
-    pos 0 && net np 0
-
-  let mem (t : t) h positions counts =
-    List.exists (fun key -> same key positions counts) (Hashtbl.find_all t h)
-
-  let add (t : t) h key = Hashtbl.add t h key
-
-  (* Drops the configuration added last under [h] — the current one,
-     when additions and removals nest as on a depth-first path. *)
-  let remove (t : t) h = Hashtbl.remove t h
 end
 
+(* Fingerprints are MD5 digests: their first bytes are already a
+   hash. *)
+module Fp_tbl = Hashtbl.Make (struct
+  type t = Dsm.Fingerprint.t
+
+  let equal = Dsm.Fingerprint.equal
+
+  let hash fp =
+    if String.length fp >= 8 then Int64.to_int (String.get_int64_le fp 0)
+    else Hashtbl.hash fp
+end)
+
+module Int_tbl = Hashtbl.Make (Int)
+
 let intern ids fp =
-  match Hashtbl.find_opt ids fp with
+  match Fp_tbl.find_opt ids fp with
   | Some i -> i
   | None ->
-      let i = Hashtbl.length ids in
-      Hashtbl.add ids fp i;
+      let i = Fp_tbl.length ids in
+      Fp_tbl.add ids fp i;
       i
 
 (* An event with its fingerprints interned, as a move of component
@@ -156,34 +235,50 @@ let make_move ids ev ~comp ~here ~next =
   in
   { ev; req; prods; next; neutral; delta }
 
-(* The net as counts per interned fingerprint, [initial_net] loaded. *)
+(* A fresh net over every fingerprint interned so far, [initial_net]
+   loaded. *)
 let make_net ids initial_net =
   let init = List.map (intern ids) initial_net in
-  let counts = Array.make (Hashtbl.length ids) 0 in
-  List.iter (fun i -> counts.(i) <- counts.(i) + 1) init;
-  counts
+  let n = Fp_tbl.length ids in
+  let net =
+    {
+      counts = Array.make n 0;
+      live = Array.make n 0;
+      slot = Array.make n 0;
+      size = 0;
+    }
+  in
+  List.iter (add_msg net) init;
+  net
 
-let config_hash positions counts =
+let config_hash positions net =
   let h = ref 0 in
   Array.iteri (fun i v -> h := !h + pos_weight i v) positions;
-  Array.iteri (fun f c -> h := !h + (c * msg_weight f)) counts;
+  for j = 0 to net.size - 1 do
+    let f = net.live.(j) in
+    h := !h + (net.counts.(f) * msg_weight f)
+  done;
   !h
 
-let enabled counts m = m.req < 0 || counts.(m.req) > 0
+let enabled net m = m.req < 0 || net.counts.(m.req) > 0
 
-let apply counts m =
-  if m.req >= 0 then counts.(m.req) <- counts.(m.req) - 1;
-  Array.iter (fun p -> counts.(p) <- counts.(p) + 1) m.prods
+let apply net m =
+  if m.req >= 0 then remove_msg net m.req;
+  for k = 0 to Array.length m.prods - 1 do
+    add_msg net m.prods.(k)
+  done
 
-let undo counts m =
-  Array.iter (fun p -> counts.(p) <- counts.(p) - 1) m.prods;
-  if m.req >= 0 then counts.(m.req) <- counts.(m.req) + 1
+let undo net m =
+  for k = 0 to Array.length m.prods - 1 do
+    remove_msg net m.prods.(k)
+  done;
+  if m.req >= 0 then add_msg net m.req
 
 (* ----- sequence engine ----- *)
 
 let check ?obs ?trace ?(budget = 200_000) ~initial_net sequences =
   let n = Array.length sequences in
-  let ids = Hashtbl.create 64 in
+  let ids = Fp_tbl.create 64 in
   let seqs =
     Array.mapi
       (fun comp s ->
@@ -191,13 +286,13 @@ let check ?obs ?trace ?(budget = 200_000) ~initial_net sequences =
           (List.mapi (fun p ev -> make_move ids ev ~comp ~here:p ~next:(p + 1)) s))
       sequences
   in
-  let counts = make_net ids initial_net in
+  let net = make_net ids initial_net in
   (* Necessary condition checked before any search: every consumed
      message must be produced somewhere (by another event or the
      initial net), with multiplicity.  Most invalid combinations of
      node states fail here, in time linear in the number of events. *)
   let balanced () =
-    let bal = Array.copy counts in
+    let bal = Array.copy net.counts in
     Array.iter
       (Array.iter (fun m ->
            Array.iter (fun p -> bal.(p) <- bal.(p) + 1) m.prods;
@@ -211,7 +306,7 @@ let check ?obs ?trace ?(budget = 200_000) ~initial_net sequences =
      positions here, so the net half of the key never separates two
      configurations the positions do not. *)
   let failed = Memo.create 256 in
-  let h = ref (config_hash positions counts) in
+  let h = ref (config_hash positions net) in
   let rec all_done i =
     i >= n || (positions.(i) = Array.length seqs.(i) && all_done (i + 1))
   in
@@ -221,7 +316,7 @@ let check ?obs ?trace ?(budget = 200_000) ~initial_net sequences =
     if all_done 0 then Some (List.rev order)
     else begin
       let hk = !h in
-      if Memo.mem failed hk positions counts then None
+      if Memo.find failed hk positions net != Memo.absent then None
       else begin
         let result = ref None in
         let i = ref 0 in
@@ -229,21 +324,21 @@ let check ?obs ?trace ?(budget = 200_000) ~initial_net sequences =
           let p = positions.(!i) in
           (if p < Array.length seqs.(!i) then
              let m = seqs.(!i).(p) in
-             if enabled counts m then begin
+             if enabled net m then begin
                positions.(!i) <- p + 1;
-               apply counts m;
+               apply net m;
                h := hk + m.delta;
                match dfs (m.ev :: order) with
                | Some _ as ok -> result := ok
                | None ->
-                   undo counts m;
+                   undo net m;
                    h := hk;
                    positions.(!i) <- p
              end);
           incr i
         done;
         if Option.is_none !result then
-          Memo.add failed hk (Memo.key positions counts);
+          ignore (Memo.add failed hk positions net Memo.failed);
         !result
       end
     end
@@ -361,13 +456,20 @@ let prefilter ?obs ?trace ~initial_net summaries =
    later in [edges] tried first. *)
 let search_dag ~steps ~budget ~initial_net graphs =
   let n = Array.length graphs in
-  let ids = Hashtbl.create 64 in
+  let ids = Fp_tbl.create 64 in
   let targets = Array.make n 0 in
   let adj =
     Array.mapi
       (fun i g ->
-        let vid = Hashtbl.create 64 in
-        let vertex v = intern vid v in
+        let vid = Int_tbl.create 64 in
+        let vertex v =
+          match Int_tbl.find_opt vid v with
+          | Some d -> d
+          | None ->
+              let d = Int_tbl.length vid in
+              Int_tbl.add vid v d;
+              d
+        in
         ignore (vertex g.root);
         targets.(i) <- vertex g.target;
         List.iter
@@ -375,7 +477,7 @@ let search_dag ~steps ~budget ~initial_net graphs =
             ignore (vertex u);
             ignore (vertex v))
           g.edges;
-        let out = Array.make (Hashtbl.length vid) [] in
+        let out = Array.make (Int_tbl.length vid) [] in
         List.iter
           (fun (u, ev, v) ->
             let du = vertex u in
@@ -385,16 +487,15 @@ let search_dag ~steps ~budget ~initial_net graphs =
         Array.map Array.of_list out)
       graphs
   in
-  let counts = make_net ids initial_net in
+  let net = make_net ids initial_net in
   let positions = Array.make n 0 in
-  let failed = Memo.create 256 in
   (* Self-edges and cycles allow walks that return to an earlier
-     configuration before it is memoised as failed; an on-path set
+     configuration before it is memoised as failed; an on-path mark
      cuts them.  The net is NOT a function of positions in a DAG
      (different paths to one vertex produce different multisets), so
      it is part of the key. *)
-  let on_path = Memo.create 64 in
-  let h = ref (config_hash positions counts) in
+  let seen = Memo.create 256 in
+  let h = ref (config_hash positions net) in
   let rec arrived i = i >= n || (positions.(i) = targets.(i) && arrived (i + 1)) in
   (* Returns (result, clean): [clean] is false when the subtree was cut
      by the on-path guard somewhere, in which case the failure must not
@@ -406,11 +507,21 @@ let search_dag ~steps ~budget ~initial_net graphs =
     if arrived 0 then (Some (List.rev order), true)
     else begin
       let hk = !h in
-      if Memo.mem failed hk positions counts then (None, true)
-      else if Memo.mem on_path hk positions counts then (None, false)
+      let stored = Memo.find seen hk positions net in
+      let status =
+        if stored == Memo.absent then Memo.open_ else Memo.status stored
+      in
+      if status = Memo.failed then (None, true)
+      else if status = Memo.on_path then (None, false)
       else begin
-        let key = Memo.key positions counts in
-        Memo.add on_path hk key;
+        let stored =
+          if stored == Memo.absent then
+            Memo.add seen hk positions net Memo.on_path
+          else begin
+            Memo.set_status stored Memo.on_path;
+            stored
+          end
+        in
         let result = ref None in
         let clean = ref true in
         let i = ref 0 in
@@ -420,15 +531,15 @@ let search_dag ~steps ~budget ~initial_net graphs =
           let k = ref 0 in
           while Option.is_none !result && !k < Array.length moves do
             let m = moves.(!k) in
-            if (not m.neutral) && enabled counts m then begin
+            if (not m.neutral) && enabled net m then begin
               positions.(!i) <- m.next;
-              apply counts m;
+              apply net m;
               h := hk + m.delta;
               match dfs (m.ev :: order) with
               | (Some _ as ok), _ -> result := ok
               | None, sub_clean ->
                   if not sub_clean then clean := false;
-                  undo counts m;
+                  undo net m;
                   h := hk;
                   positions.(!i) <- here
             end;
@@ -436,8 +547,9 @@ let search_dag ~steps ~budget ~initial_net graphs =
           done;
           incr i
         done;
-        Memo.remove on_path hk;
-        if Option.is_none !result && !clean then Memo.add failed hk key;
+        Memo.set_status stored
+          (if Option.is_none !result && !clean then Memo.failed
+           else Memo.open_);
         (!result, !clean)
       end
     end

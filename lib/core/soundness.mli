@@ -118,9 +118,12 @@ val prefilter :
     the verdict is the same either way.
 
     The search interns every fingerprint into a dense id: the net is
-    an array of counts, and its memo sets hold exact (component
-    positions, net counts) configurations, found through a hash the
-    search updates incrementally with each move. *)
+    an array of counts plus the sparse set of the ids in flight, and
+    its memo holds exact configurations — the component positions and
+    a (message, count) pair per message in flight — found through a
+    hash the search updates incrementally with each move.  All of this
+    state belongs to the call, so calls may run on several domains at
+    once. *)
 val check_dag :
   ?obs:Obs.scope ->
   ?trace:Obs.Trace.t ->

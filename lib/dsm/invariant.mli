@@ -46,7 +46,15 @@ val for_all_nodes :
     compares (for Paxos: the values chosen so far); [None] means the
     state can never be in a violating pair, so the checker never
     combines it.  The check and the pruning both derive from this one
-    definition. *)
+    definition.
+
+    Keys must be plain immutable data: the checker interns them in a
+    table that compares them with [=] and hashes them with
+    [Hashtbl.hash], so equal keys built separately share one id (no
+    functions, no mutable fields, no cycles).  [conflict] must be a
+    pure function of the two keys: the checker asks it once per pair
+    of distinct keys and reuses the answer for every pair of node
+    states that carry them. *)
 val for_all_pairs :
   name:string ->
   key:(Node_id.t -> 'state -> 'k option) ->

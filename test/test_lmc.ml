@@ -390,6 +390,56 @@ let test_late_partner_completes_seed () =
          b = 2;
        })
 
+(* Keys are compared as values.  Every node state here builds its key
+   afresh, so equal keys are physically distinct lists; they must still
+   share one interned id — each pair of distinct keys is put to
+   [conflict] once per run, however many entries carry them — and the
+   pruning must still meet every violating combination [General]
+   meets. *)
+let test_automatic_fresh_keys () =
+  let module P = Protocols.Synthetic.Make (struct
+    let seed = 41
+    let num_nodes = 3
+    let max_state = 4
+    let kinds = 2
+  end) in
+  let module L = Lmc.Checker.Make (P) in
+  let invariant =
+    Dsm.Invariant.for_all_pairs ~name:"fresh-keys"
+      ~key:(fun n s -> if s >= 1 then Some [ (s + n) mod 3; 7 ] else None)
+      ~conflict:(fun x y ->
+        if List.hd x = (List.hd y + 1) mod 3 then Some "split" else None)
+  in
+  check Alcotest.bool "automatic = general" true
+    (strategies_agree (module P) invariant);
+  let init = Dsm.Protocol.initial_system (module P) in
+  let run ?(domains = 1) strategy =
+    let obs = Obs.create () in
+    let r =
+      L.run
+        { L.default_config with stop_on_violation = false; domains; obs }
+        ~strategy ~invariant init
+    in
+    (r, Obs.Metrics.value (Obs.counter obs "lmc.conflict_evals"))
+  in
+  let general, _ = run L.General in
+  let auto, evals = run L.Automatic in
+  check Alcotest.int "conflict tests at two domains" evals
+    (snd (run ~domains:2 L.Automatic));
+  check Alcotest.bool "violations to meet" true
+    (general.preliminary_violations > 0);
+  check Alcotest.int "same preliminary violations"
+    general.preliminary_violations auto.preliminary_violations;
+  check Alcotest.bool "same verdict" true
+    (Option.is_some general.sound_violation
+    = Option.is_some auto.sound_violation);
+  (* three distinct keys: at most 3 x 3 ordered pairs, where the keyed
+     entries make dozens *)
+  check Alcotest.bool
+    (Printf.sprintf "one conflict test per pair of distinct keys (%d)" evals)
+    true
+    (evals > 0 && evals <= 9)
+
 (* The same oracle on every bundled runner that completes in under a
    second. *)
 let test_automatic_agrees_on_bundled () =
@@ -834,8 +884,9 @@ struct
   module S = Sim.Live_sim.Make (Live)
   module W = Lmc.Witness.Make (Check)
 
-  let run ~seed ~plan ~interval ~max_live ~max_depth ~max_transitions
-      ~crash_budget ~invariant =
+  (* The bug run's result and its replayed witness. *)
+  let report ?action_prob ~seed ~plan ~interval ~max_live ~max_depth
+      ~max_transitions ~crash_budget ~invariant () =
     let faults =
       match Fault.Plan.of_string plan with
       | Ok p -> p
@@ -851,7 +902,7 @@ struct
                 ~latency_max:0.3 ();
             timer_min = 2.0;
             timer_max = 20.0;
-            action_prob = None;
+            action_prob;
             faults;
           };
         check_interval = interval;
@@ -876,8 +927,15 @@ struct
         let v = r.O.violation in
         check Alcotest.bool "witness replays" true
           (W.replay ~init:r.O.snapshot v.O.Checker.schedule <> None);
-        let res = r.O.result in
-        ( res.O.Checker.soundness_calls,
+        (r.O.result, v)
+
+  let run ~seed ~plan ~interval ~max_live ~max_depth ~max_transitions
+      ~crash_budget ~invariant =
+    let res, v =
+      report ~seed ~plan ~interval ~max_live ~max_depth ~max_transitions
+        ~crash_budget ~invariant ()
+    in
+    ( res.O.Checker.soundness_calls,
           res.O.Checker.soundness_rejections,
           res.O.Checker.soundness_prefilter_rejections
           + res.O.Checker.soundness_search_rejections,
@@ -963,6 +1021,36 @@ let test_pinned_ackrace_hunt () =
            "14. deliver N0->N3:Ack(#3)";
            "15. deliver N1->N3:FwdAck(#4)";
          ]
+
+(* The §5.6 1Paxos hunt: six clean restarts, then the bug in the
+   seventh.  The clean restarts create no system state at all — no two
+   keys conflict — so the pins are the bug run's. *)
+let test_pinned_onepaxos_hunt () =
+  let module P = Protocols.Onepaxos.Make (struct
+    let num_nodes = 3
+    let max_leader_claims = 2
+    let max_attempts = 1
+    let max_index = 12
+    let max_util_entries = 3
+    let max_util_attempts = 2
+    let bug = Protocols.Onepaxos.Postfix_increment
+  end) in
+  let module H = Pinned_hunt (P) (P) in
+  let claim_prob _ = function
+    | Protocols.Onepaxos.Claim_leadership -> 0.1
+    | _ -> 1.0
+  in
+  let res, v =
+    H.report ~action_prob:claim_prob ~seed:9 ~plan:"" ~interval:10.
+      ~max_live:150. ~max_depth:None ~max_transitions:(Some 4_000)
+      ~crash_budget:0 ~invariant:P.safety ()
+  in
+  check Alcotest.int "onepaxos-pp system states" 121
+    res.H.O.Checker.system_states_created;
+  check Alcotest.int "onepaxos-pp soundness calls" 121
+    res.H.O.Checker.soundness_calls;
+  check Alcotest.int "onepaxos-pp witness length" 3
+    (List.length v.H.O.Checker.schedule)
 
 (* ---------- memory accounting ---------- *)
 
@@ -1100,6 +1188,8 @@ let () =
             test_pinned_paxos_hunt;
           Alcotest.test_case "swim ack-race hunt pinned" `Quick
             test_pinned_ackrace_hunt;
+          Alcotest.test_case "1paxos hunt pinned" `Quick
+            test_pinned_onepaxos_hunt;
         ] );
       ( "primer",
         [
@@ -1131,6 +1221,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_automatic_agrees_with_general;
           Alcotest.test_case "agrees on bundled runners" `Quick
             test_automatic_agrees_on_bundled;
+          Alcotest.test_case "fresh equal keys share an id" `Quick
+            test_automatic_fresh_keys;
           Alcotest.test_case "late partner completes a seed" `Quick
             test_late_partner_completes_seed;
           Alcotest.test_case "prunes nodewise" `Quick

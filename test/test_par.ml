@@ -209,6 +209,7 @@ type summary = {
   prelims : int;
   soundness_calls : int;
   rejections : int;
+  conflict_evals : int;  (* the [lmc.conflict_evals] counter *)
   viol_fp : string option;
       (* fingerprint of (system, violation, schedule) *)
   sched_len : int;
@@ -217,10 +218,10 @@ type summary = {
 
 let pp_summary s =
   Printf.sprintf
-    "{found=%b tr=%d ns=%d ss=%d prelim=%d calls=%d rej=%d viol=%s len=%d \
-     min=%s}"
+    "{found=%b tr=%d ns=%d ss=%d prelim=%d calls=%d rej=%d evals=%d viol=%s \
+     len=%d min=%s}"
     s.found s.transitions s.node_states s.system_states s.prelims
-    s.soundness_calls s.rejections
+    s.soundness_calls s.rejections s.conflict_evals
     (Option.value ~default:"-" s.viol_fp)
     s.sched_len
     (Option.value ~default:"-" s.min_fp)
@@ -242,10 +243,12 @@ let run_synthetic ~seed ~domains ~auto ~defer =
       ~key:(fun _ s -> if s >= cap then Some () else None)
       ~conflict:(fun () () -> Some "both nodes saturated")
   in
+  let obs = Obs.create () in
   let config =
     {
       C.default_config with
       C.domains;
+      obs;
       defer_soundness = defer;
       verify_domains = (if defer then 2 else 1);
     }
@@ -280,6 +283,7 @@ let run_synthetic ~seed ~domains ~auto ~defer =
     prelims = r.C.preliminary_violations;
     soundness_calls = r.C.soundness_calls;
     rejections = r.C.soundness_rejections;
+    conflict_evals = Obs.Metrics.value (Obs.counter obs "lmc.conflict_evals");
     viol_fp;
     sched_len;
     min_fp;

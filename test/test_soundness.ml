@@ -257,6 +257,35 @@ let test_dag_initial_net () =
   check Alcotest.bool "with net valid" true
     (is_valid (Lmc.Soundness.check_dag ~initial_net:[ fp "m" ] graphs))
 
+(* Replays a witness order edge by edge: each event must leave its
+   component's current vertex and be enabled by the net; at the end
+   every component must stand on its target. *)
+let replays ~initial_net (graphs : Lmc.Soundness.node_graph array) order =
+  let pos = Array.map (fun (g : Lmc.Soundness.node_graph) -> g.root) graphs in
+  let net = Hashtbl.create 16 in
+  let count fp = Option.value ~default:0 (Hashtbl.find_opt net fp) in
+  List.iter (fun fp -> Hashtbl.replace net fp (count fp + 1)) initial_net;
+  let step (e : Lmc.Soundness.event) =
+    let i = e.node in
+    match
+      List.find_opt
+        (fun (u, (e' : Lmc.Soundness.event), _) ->
+          u = pos.(i) && Dsm.Fingerprint.equal e'.label e.label)
+        graphs.(i).edges
+    with
+    | None -> false
+    | Some (_, _, v) -> (
+        match e.requires with
+        | Some r when count r = 0 -> false
+        | req ->
+            Option.iter (fun r -> Hashtbl.replace net r (count r - 1)) req;
+            List.iter (fun p -> Hashtbl.replace net p (count p + 1)) e.produces;
+            pos.(i) <- v;
+            true)
+  in
+  List.for_all step order
+  && Array.for_all2 (fun p (g : Lmc.Soundness.node_graph) -> p = g.target) pos graphs
+
 (* Node 0 reaches vertex 2 along two paths and then sends "go"; node 1
    needs "go" and then [need] copies of "m".  The path tried first
    leaves the wrong net at vertex 2 and fails; the second reaches the
@@ -280,6 +309,34 @@ let memo_case ~first ~second ~need =
            need);
   |]
 
+(* Two components race [len] steps each, every step handing the next
+   one a private message, for the one copy of "z" their last steps both
+   need; [copies] producers of "z" can each give one.  A third edge
+   would produce 40 more messages but needs one nobody sends, so the
+   search interns every one of them and never puts one in flight.  With
+   one copy the search must visit every interleaving of the two races
+   to fail: without an exact failed-configuration memo that is
+   C(2 len, len) of them, far beyond the budget. *)
+let race_case ~len ~copies =
+  let racer comp name =
+    let m i = Printf.sprintf "%s%d" name i in
+    graph ~root:0 ~target:(len + 1)
+      ((0, ev comp (m 0) ~produces:[ m 0 ], 1)
+      :: (len, ev comp "take" ~requires:"z", len + 1)
+      :: List.init (len - 1) (fun i ->
+             (i + 1, ev comp (m (i + 1)) ~requires:(m i) ~produces:[ m (i + 1) ],
+              i + 2)))
+  in
+  [|
+    racer 0 "a";
+    racer 1 "b";
+    graph ~root:0 ~target:copies
+      ((0, ev 2 "never" ~requires:"ghost"
+             ~produces:(List.init 40 (Printf.sprintf "w%d")), copies + 1)
+      :: List.init copies (fun i ->
+             (i, ev 2 (Printf.sprintf "z%d" i) ~produces:[ "z" ], i + 1)));
+  |]
+
 let test_dag_memo_exact () =
   check Alcotest.bool "message identity" true
     (is_valid
@@ -288,7 +345,21 @@ let test_dag_memo_exact () =
   check Alcotest.bool "message multiplicity" true
     (is_valid
        (Lmc.Soundness.check_dag ~initial_net:[]
-          (memo_case ~first:[ "m" ] ~second:[ "m"; "m" ] ~need:[ "m"; "m" ])))
+          (memo_case ~first:[ "m" ] ~second:[ "m"; "m" ] ~need:[ "m"; "m" ])));
+  (* Every backtrack takes a message out of flight again: the search
+     must still know each configuration it failed from, and never take
+     one for another. *)
+  check Alcotest.bool "few in flight among many interned: failure" true
+    (is_invalid
+       (Lmc.Soundness.check_dag ~budget:20_000 ~initial_net:[]
+          (race_case ~len:10 ~copies:1)));
+  let graphs = race_case ~len:10 ~copies:2 in
+  match Lmc.Soundness.check_dag ~budget:20_000 ~initial_net:[] graphs with
+  | Lmc.Soundness.Valid order ->
+      check Alcotest.bool "few in flight among many interned: witness replays"
+        true
+        (replays ~initial_net:[] graphs order)
+  | _ -> fail "two copies of z: expected a witness"
 
 (* ---------- property: projections of real runs are valid ---------- *)
 
@@ -530,36 +601,41 @@ let reference_search ?(cap = 5_000) ~initial_net
   in
   loop ()
 
-(* Replays a witness order edge by edge: each event must leave its
-   component's current vertex and be enabled by the net; at the end
-   every component must stand on its target. *)
-let replays ~initial_net (graphs : Lmc.Soundness.node_graph array) order =
-  let pos = Array.map (fun (g : Lmc.Soundness.node_graph) -> g.root) graphs in
-  let net = Hashtbl.create 16 in
-  let count fp = Option.value ~default:0 (Hashtbl.find_opt net fp) in
-  List.iter (fun fp -> Hashtbl.replace net fp (count fp + 1)) initial_net;
-  let step (e : Lmc.Soundness.event) =
-    let i = e.node in
-    match
-      List.find_opt
-        (fun (u, (e' : Lmc.Soundness.event), _) ->
-          u = pos.(i) && Dsm.Fingerprint.equal e'.label e.label)
-        graphs.(i).edges
-    with
-    | None -> false
-    | Some (_, _, v) -> (
-        match e.requires with
-        | Some r when count r = 0 -> false
-        | req ->
-            Option.iter (fun r -> Hashtbl.replace net r (count r - 1)) req;
-            List.iter (fun p -> Hashtbl.replace net p (count p + 1)) e.produces;
-            pos.(i) <- v;
-            true)
-  in
-  List.for_all step order
-  && Array.for_all2 (fun p (g : Lmc.Soundness.node_graph) -> p = g.target) pos graphs
-
 let dag_case = QCheck.make ~print:print_dag_case gen_dag_case
+
+(* Each [check_dag] call owns its search state: the deferred
+   verification pass runs calls on several domains at once.  Two
+   domains deciding the same cases side by side — the random ones of
+   the differential property and the longer races above — must agree
+   with the sequential run: verdicts, witnesses and search steps. *)
+let test_dag_concurrent_domains () =
+  let cases =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 14 |]) ~n:400 gen_dag_case
+    @ List.init 12 (fun i ->
+          (race_case ~len:(4 + (i / 2)) ~copies:(1 + (i mod 2)), []))
+  in
+  let verdicts () =
+    List.map
+      (fun (graphs, initial_net) ->
+        let obs = Obs.create () in
+        let v =
+          Lmc.Soundness.check_dag ~obs ~budget:20_000 ~initial_net graphs
+        in
+        let steps =
+          Obs.Metrics.histogram_snapshot (Obs.histogram obs "soundness.steps")
+        in
+        (v, steps.Obs.Metrics.sum))
+      cases
+  in
+  let expected = verdicts () in
+  let domains = List.init 2 (fun _ -> Domain.spawn verdicts) in
+  List.iteri
+    (fun i d ->
+      check Alcotest.bool
+        (Printf.sprintf "domain %d = sequential" i)
+        true
+        (Domain.join d = expected))
+    domains
 
 (* A [Valid] order must replay and a reachable target must not be
    called [Invalid].  A search verdict must match the reference exactly
@@ -694,6 +770,8 @@ let () =
           Alcotest.test_case "cycle" `Quick test_dag_cycle_tolerated;
           Alcotest.test_case "initial net" `Quick test_dag_initial_net;
           Alcotest.test_case "memo keys are exact" `Quick test_dag_memo_exact;
+          Alcotest.test_case "concurrent domains" `Quick
+            test_dag_concurrent_domains;
         ] );
       ( "combination",
         [
